@@ -1,7 +1,7 @@
 """Microbenchmark for the compiled routing substrate (PR: CSR kernels).
 
 Times the dict-based reference Dijkstra (the pre-CSR implementation,
-retained in ``repro.routing.spf_reference``) against the CSR kernels
+retained in ``tests/routing/spf_reference.py``) against the CSR kernels
 behind the public API, exercises the failure-aware route cache over a
 worst-case-failure workload to record its hit/reuse/miss split, and wraps
 up with the end-to-end ``figures --quick`` wall clock.
@@ -26,10 +26,9 @@ from datetime import date
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(REPO_ROOT / "src"))
+sys.path[0:0] = [str(REPO_ROOT / "src"), str(REPO_ROOT)]
 
 from repro.core.protocol import SMRPConfig, SMRPProtocol  # noqa: E402
-from repro.core.shr import adjusted_shr_table, shr_table  # noqa: E402
 from repro.graph.waxman import WaxmanConfig, waxman_topology  # noqa: E402
 from repro.metrics.recovery_metrics import worst_case_recovery  # noqa: E402
 from repro.multicast.spf_protocol import SPFMulticastProtocol  # noqa: E402
@@ -37,7 +36,7 @@ from repro.obs import Observability  # noqa: E402
 from repro.routing.batch import dijkstra_multi  # noqa: E402
 from repro.routing.route_cache import RouteCache  # noqa: E402
 from repro.routing.spf import dijkstra, dijkstra_with_barriers  # noqa: E402
-from repro.routing.spf_reference import (  # noqa: E402
+from tests.routing.spf_reference import (  # noqa: E402
     dijkstra_reference,
     dijkstra_with_barriers_reference,
 )
@@ -167,14 +166,12 @@ def bench_failure_cache(n: int, topologies: int) -> dict:
 
 
 def bench_batch(quick: bool) -> dict:
-    """Batch kernels vs their looped/dict counterparts (PR: batch routing).
+    """The multi-root kernel vs looped scalar runs.
 
-    Multi-root SPF: one :func:`dijkstra_multi` call for every sampled
-    root vs one :func:`dijkstra` call per root, on sparse Waxman graphs
-    at controller scale.  SHR: the vectorized array tables vs the
-    dict/incremental reference on trees above the auto-dispatch gate.
-    Both sides produce bit-identical results (property-tested), so this
-    is a pure kernel-scheduling comparison.
+    One :func:`dijkstra_multi` call for every sampled root vs one
+    :func:`dijkstra` call per root, on sparse Waxman graphs at controller
+    scale.  Both sides produce bit-identical results (property-tested),
+    so this is a pure kernel-scheduling comparison.
     """
     sizes = [100, 300] if quick else [100, 300, 1000]
     repeats = 3
@@ -206,40 +203,7 @@ def bench_batch(quick: bool) -> dict:
             }
         )
 
-    shr = []
-    shr_cases = [(300, 150), (1000, 400)] if not quick else [(300, 150)]
-    for n, k in shr_cases:
-        topo = waxman_topology(
-            WaxmanConfig(n=n, alpha=0.2, beta=0.25, seed=0)
-        ).topology
-        members = topo.nodes()[1 :: max(1, n // k)]
-        tree = SPFMulticastProtocol(topo, 0, self_check=False).build(members)
-        mover = sorted(tree.members)[1]
-        table_d = bench(lambda: shr_table(tree, vectorized=False), repeats)
-        table_v = bench(lambda: shr_table(tree, vectorized=True), repeats)
-        adj_d = bench(
-            lambda: adjusted_shr_table(tree, mover, vectorized=False), repeats
-        )
-        adj_v = bench(
-            lambda: adjusted_shr_table(tree, mover, vectorized=True), repeats
-        )
-        shr.append(
-            {
-                "n": n,
-                "tree_nodes": len(tree.on_tree_nodes()),
-                "shr_table": {
-                    "dict_s": round(table_d, 5),
-                    "vectorized_s": round(table_v, 5),
-                    "speedup": round(table_d / table_v, 2),
-                },
-                "adjusted_shr_table": {
-                    "dict_s": round(adj_d, 5),
-                    "vectorized_s": round(adj_v, 5),
-                    "speedup": round(adj_d / adj_v, 2),
-                },
-            }
-        )
-    return {"multi_root_spf": multi_root, "shr_vectorized": shr}
+    return {"multi_root_spf": multi_root}
 
 
 def bench_figures_quick(repeats: int) -> dict:

@@ -109,6 +109,9 @@ from typing import Sequence
 
 import numpy as np
 
+from repro.controller.controller import ENGINES
+from repro.multicast.backup_trees import DEFAULT_BUDGET
+
 
 def _add_executor_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
@@ -235,11 +238,11 @@ def build_parser() -> argparse.ArgumentParser:
     controller.add_argument("--member-seed", type=int, default=0)
     controller.add_argument(
         "--protocol",
-        choices=["smrp", "spf", "protection", "hybrid", "alternate"],
+        choices=list(ENGINES),
         default="smrp",
     )
     controller.add_argument(
-        "--protect-budget", type=int, default=4, metavar="F",
+        "--protect-budget", type=int, default=DEFAULT_BUDGET, metavar="F",
         help="protected-link budget for protection/hybrid groups "
              "(backup trees precomputed for the F most-loaded tree links)",
     )
@@ -271,7 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
     protection.add_argument("--quick", action="store_true",
                             help="reduced grid (2x1 scenarios, 2 trials)")
     protection.add_argument(
-        "--budget", type=int, default=4, metavar="F",
+        "--budget", type=int, default=DEFAULT_BUDGET, metavar="F",
         help="protected-link budget for the backup/hybrid modes",
     )
     protection.add_argument(
@@ -297,7 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     distribution.add_argument(
         "--engines", nargs="+", metavar="ENGINE",
-        choices=["smrp", "spf", "protection", "hybrid", "alternate"],
+        choices=list(ENGINES),
         help="restoration engines to compare (default: all five; "
              "--quick default: smrp spf)",
     )
@@ -836,7 +839,7 @@ _CONTROLLER_SPEC_FLAGS = {
     "workload": "static",
     "failure": "auto",
     "shard_size": 50,
-    "protect_budget": 4,
+    "protect_budget": DEFAULT_BUDGET,
 }
 
 
@@ -944,7 +947,7 @@ def _cmd_protection(args: argparse.Namespace) -> int:
 
 def _cmd_distribution(args: argparse.Namespace) -> int:
     from repro.errors import ConfigurationError
-    from repro.experiments.figdist import ENGINES, run_distribution_figure
+    from repro.experiments.figdist import run_distribution_figure
 
     obs = _make_obs(args)
     telemetry = _make_telemetry(args)
@@ -954,7 +957,7 @@ def _cmd_distribution(args: argparse.Namespace) -> int:
     elif args.quick:
         engines = ("smrp", "spf")
     else:
-        engines = ENGINES
+        engines = tuple(ENGINES)
     if args.groups is not None:
         groups = args.groups
     else:

@@ -31,7 +31,6 @@ between failures costs nothing extra.
 
 from __future__ import annotations
 
-import os
 from dataclasses import asdict, dataclass
 
 from repro.core.protocol import SMRPConfig, SMRPProtocol
@@ -52,23 +51,71 @@ from repro.routing.link_state import ConvergenceModel
 #: A hosted session's identity: ``(source node, group number)``.
 GroupId = tuple
 
-#: Protocol engines the controller can host, by spec name.
-_ENGINES = ("smrp", "spf", "protection", "hybrid", "alternate")
+
+def _smrp_engine(controller: MulticastController, source: NodeId, routes):
+    return SMRPProtocol(
+        controller.topology,
+        source,
+        config=controller.smrp_config,
+        obs=controller.obs,
+        route_cache=routes,
+    )
 
 
-def _batch_restore_default() -> bool:
-    """Resolve the ``REPRO_BATCH_RESTORE`` environment toggle (default on).
+def _spf_engine(controller: MulticastController, source: NodeId, routes):
+    return SPFMulticastProtocol(
+        controller.topology,
+        source,
+        self_check=False,
+        route_cache=routes,
+        obs=controller.obs,
+    )
 
-    An environment variable rather than a spec field so existing
-    :class:`~repro.controller.spec.ServiceSpec` content keys (and the
-    checkpoints hashed from them) are untouched — batching changes how
-    many kernel runs a restoration takes, never its result, and the
-    variable is inherited by pool workers so sharded runs follow suit.
-    """
-    value = os.environ.get("REPRO_BATCH_RESTORE")
-    if value is None:
-        return True
-    return value.strip().lower() not in ("0", "false", "no", "off", "")
+
+def _backup_engine(mode: str):
+    def build(controller: MulticastController, source: NodeId, routes):
+        return BackupTreeProtocol(
+            controller.topology,
+            source,
+            mode=mode,
+            budget=controller.protect_budget,
+            smrp_config=controller.smrp_config,
+            route_cache=routes,
+            obs=controller.obs,
+        )
+
+    return build
+
+
+def _alternate_engine(controller: MulticastController, source: NodeId, routes):
+    return AlternatePathProtocol(
+        controller.topology,
+        source,
+        route_cache=routes,
+        obs=controller.obs,
+    )
+
+
+#: Protocol engines the controller can host: spec name → factory
+#: ``(controller, source, route cache) → engine``.  The one declaration
+#: of the engine names — :class:`~repro.controller.spec.ServiceSpec`
+#: validation, the CLI's ``--protocol``/``--engines`` choices and the
+#: distribution figure's default engine list all derive from it.
+ENGINES = {
+    "smrp": _smrp_engine,
+    "spf": _spf_engine,
+    "protection": _backup_engine("protection"),
+    "hybrid": _backup_engine("hybrid"),
+    "alternate": _alternate_engine,
+}
+
+
+def check_protocol(protocol: str) -> None:
+    """Reject an engine name :data:`ENGINES` does not declare."""
+    if protocol not in ENGINES:
+        raise ConfigurationError(
+            f"unknown protocol {protocol!r}; expected one of {tuple(ENGINES)}"
+        )
 
 
 @dataclass(frozen=True)
@@ -175,17 +222,6 @@ class MulticastController:
         Optional :class:`~repro.obs.live.TelemetryHub`; each restored
         group publishes one ``group.restore`` record.  Observe-only:
         results are identical with or without a hub.
-    batch_restoration:
-        When True (the default; overridable via the
-        ``REPRO_BATCH_RESTORE`` environment variable), a failure
-        dispatch buckets every affected session's disconnected members
-        by ``(weight, failure set)`` and pre-computes their post-failure
-        SPF state with one multi-root kernel run per bucket
-        (:meth:`~repro.routing.route_cache.RouteCache.warm_batch` on the
-        shared route cache).  The per-group repairs then consume warmed,
-        byte-identical entries instead of issuing one scalar kernel run
-        per member — :class:`GroupRestoration` rows are identical either
-        way (CI diffs them for real).
     """
 
     def __init__(
@@ -199,12 +235,8 @@ class MulticastController:
         convergence: ConvergenceModel | None = None,
         obs: Observability | None = None,
         telemetry=None,
-        batch_restoration: bool | None = None,
     ) -> None:
-        if protocol not in _ENGINES:
-            raise ConfigurationError(
-                f"unknown protocol {protocol!r}; expected one of {_ENGINES}"
-            )
+        check_protocol(protocol)
         if protect_budget < 0:
             raise ConfigurationError(
                 f"protect_budget must be >= 0, got {protect_budget}"
@@ -217,16 +249,13 @@ class MulticastController:
         self.convergence = convergence
         self.obs = obs if obs is not None else NULL_OBS
         self.telemetry = telemetry
-        self.batch_restoration = (
-            _batch_restore_default()
-            if batch_restoration is None
-            else bool(batch_restoration)
-        )
         self._groups: dict[GroupId, _HostedGroup] = {}
         self._by_link: dict[Edge, set] = {}
         self._by_node: dict[NodeId, set] = {}
         self._next_group = 0
-        self._pending: tuple[FailureSet, list] | None = None
+        #: ``(failure, affected group ids, groups checked)`` armed by
+        #: :meth:`fail` for the next :meth:`restore`.
+        self._pending: tuple[FailureSet, list, int] | None = None
         self._restorations = 0
 
     # ------------------------------------------------------------------
@@ -269,44 +298,9 @@ class MulticastController:
         if gid in self._groups:
             raise ConfigurationError(f"group {gid!r} is already hosted")
         kind = protocol if protocol is not None else self.protocol
-        if kind not in _ENGINES:
-            raise ConfigurationError(
-                f"unknown protocol {kind!r}; expected one of {_ENGINES}"
-            )
+        check_protocol(kind)
         routes = self.cache.routes if self.cache is not None else None
-        if kind == "smrp":
-            engine = SMRPProtocol(
-                self.topology,
-                source,
-                config=self.smrp_config,
-                obs=self.obs,
-                route_cache=routes,
-            )
-        elif kind in ("protection", "hybrid"):
-            engine = BackupTreeProtocol(
-                self.topology,
-                source,
-                mode=kind,
-                budget=self.protect_budget,
-                smrp_config=self.smrp_config,
-                route_cache=routes,
-                obs=self.obs,
-            )
-        elif kind == "alternate":
-            engine = AlternatePathProtocol(
-                self.topology,
-                source,
-                route_cache=routes,
-                obs=self.obs,
-            )
-        else:
-            engine = SPFMulticastProtocol(
-                self.topology,
-                source,
-                self_check=False,
-                route_cache=routes,
-                obs=self.obs,
-            )
+        engine = ENGINES[kind](self, source, routes)
         self._groups[gid] = _HostedGroup(engine, kind)
         self.obs.counter("controller.groups_opened").inc()
         for member in members:
@@ -384,15 +378,9 @@ class MulticastController:
         """Dispatch a failure event: one index pass finds every group
         whose tree it touches.  Returns the affected group ids (sorted)
         and arms :meth:`restore`.
-
-        With ``batch_restoration`` on and a shared route cache present,
-        the dispatch also buckets every affected session's disconnected
-        members by ``(weight, failure set)`` and pre-computes their
-        post-failure SPF state — one multi-root kernel run per bucket —
-        so the armed :meth:`restore` repairs from warmed cache entries.
         """
         if failures.is_empty:
-            self._pending = (failures, [])
+            self._pending = (failures, [], 0)
             return []
         with self.obs.span("controller.fail"):
             self._refresh_index()
@@ -406,61 +394,10 @@ class MulticastController:
                 for gid in candidates
                 if self._groups[gid].engine.tree.affected_by(failures)
             )
-        self._pending = (failures, affected)
-        self._last_checked = len(candidates)
+        self._pending = (failures, affected, len(candidates))
         self.obs.counter("controller.failures_dispatched").inc()
         self.obs.counter("controller.groups_affected").inc(len(affected))
-        if affected:
-            self._warm_restoration_routes(failures, affected)
         return affected
-
-    def _warm_restoration_routes(self, failures: FailureSet, affected) -> None:
-        """One multi-root SPF per ``(weight, failure)`` bucket of members.
-
-        Every disconnected, still-alive member of every affected group
-        will need its post-failure SPF state during repair (the engines'
-        recovery paths all route ``weight="delay"`` lookups through the
-        shared :class:`~repro.routing.route_cache.RouteCache`); warming
-        those entries in one batched kernel run replaces one scalar run
-        per member.  Purely a kernel-scheduling change: warmed entries
-        are byte-identical, so the repairs and their
-        :class:`GroupRestoration` rows never differ from the per-group
-        path.  Skipped entirely when batching is off or no shared cache
-        exists (engines then fall back to per-member scalar runs).
-        """
-        if not self.batch_restoration or self.cache is None:
-            return
-        routes = getattr(self.cache, "routes", None)
-        if routes is None or not hasattr(routes, "warm_batch"):
-            return
-        with self.obs.span("controller.batch_warm"):
-            # All engine recovery lookups share this dispatch's failure
-            # set and route over delay, so today the bucketing yields a
-            # single (weight, failures) bucket; the shape is kept
-            # general for protocol families with per-group weights.
-            buckets: dict[str, list] = {}
-            seen: set = set()
-            for gid in affected:
-                tree = self._groups[gid].engine.tree
-                for member in tree.disconnected_members(failures):
-                    if member in seen or failures.node_failed(member):
-                        continue
-                    seen.add(member)
-                    buckets.setdefault("delay", []).append(member)
-            if not buckets:
-                return
-            self.obs.counter("controller.batch.buckets").inc(len(buckets))
-            warmed = 0
-            for weight, members in buckets.items():
-                self.obs.counter("controller.batch.bucket_size").inc(len(members))
-                warmed += routes.warm_batch(
-                    self.topology,
-                    members,
-                    weight=weight,
-                    failures=failures,
-                    obs=self.obs,
-                )
-            self.obs.counter("controller.batch.warmed").inc(warmed)
 
     def restore(self, failures: FailureSet | None = None) -> FailureDispatch:
         """Repair every affected group in one pass.
@@ -477,7 +414,7 @@ class MulticastController:
             raise ConfigurationError(
                 "nothing to restore: call fail() first or pass failures"
             )
-        failures, affected = self._pending
+        failures, affected, checked = self._pending
         self._pending = None
         rows = []
         with self.obs.span("controller.restore"):
@@ -486,7 +423,7 @@ class MulticastController:
         dispatch = FailureDispatch(
             failure=failures.describe(),
             groups_hosted=len(self._groups),
-            groups_checked=getattr(self, "_last_checked", len(affected)),
+            groups_checked=checked,
             rows=tuple(rows),
         )
         self.obs.counter("controller.members_restored").inc(dispatch.restored)

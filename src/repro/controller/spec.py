@@ -23,14 +23,13 @@ import hashlib
 import json
 from dataclasses import asdict, dataclass
 
+from repro.controller.controller import check_protocol
 from repro.errors import ConfigurationError
 from repro.graph.topology import Topology
 from repro.graph.waxman import WaxmanConfig
+from repro.multicast.backup_trees import DEFAULT_BUDGET
 from repro.routing.failure_view import NO_FAILURES, FailureSet
 from repro.routing.spf import dijkstra
-
-#: Group-population protocols the controller can host.
-PROTOCOLS = ("smrp", "spf", "protection", "hybrid", "alternate")
 
 #: Membership workload shapes (see :mod:`repro.controller.workload`).
 WORKLOADS = ("static", "poisson", "flash")
@@ -62,11 +61,13 @@ class ServiceSpec:
         churn); a group's randomness derives from
         ``(member_seed, topology_seed, group index)`` only.
     protocol:
-        ``"smrp"`` (local-detour restoration), ``"spf"`` (the PIM/MOSPF
+        Engine for every hosted group, one of
+        :data:`~repro.controller.controller.ENGINES`: ``"smrp"``
+        (local-detour restoration), ``"spf"`` (the PIM/MOSPF
         global-detour baseline), ``"protection"`` (SPF + per-link
         backup trees), ``"hybrid"`` (SMRP + per-link backup trees), or
         ``"alternate"`` (SPF + precomputed single-failure alternate
-        routes) for every hosted group.
+        routes).
     d_thresh, reshape_enabled:
         SMRP parameters (ignored by the SPF baseline).
     protect_budget:
@@ -106,7 +107,7 @@ class ServiceSpec:
     protocol: str = "smrp"
     d_thresh: float = 0.3
     reshape_enabled: bool = True
-    protect_budget: int = 4
+    protect_budget: int = DEFAULT_BUDGET
     workload: str = "static"
     churn_duration: float = 200.0
     mean_holding_time: float = 120.0
@@ -142,10 +143,7 @@ class ServiceSpec:
             raise ConfigurationError(
                 f"size_skew must be > 1 (Zipf exponent), got {self.size_skew}"
             )
-        if self.protocol not in PROTOCOLS:
-            raise ConfigurationError(
-                f"unknown protocol {self.protocol!r}; expected one of {PROTOCOLS}"
-            )
+        check_protocol(self.protocol)
         if self.d_thresh < 0:
             raise ConfigurationError(f"d_thresh must be >= 0, got {self.d_thresh}")
         if self.protect_budget < 0:

@@ -26,11 +26,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.core.shr import VECTOR_MIN_NODES
 from repro.graph.topology import NodeId, Topology
 from repro.multicast.tree import MulticastTree
 from repro.routing.failure_view import NO_FAILURES, FailureSet
-from repro.routing.spf import barrier_search_arrays, dijkstra_with_barriers
+from repro.routing.spf import dijkstra_with_barriers
 
 
 @dataclass(frozen=True)
@@ -74,7 +73,6 @@ def enumerate_candidates(
     allowed_merge_nodes: frozenset[NodeId] | None = None,
     mover: NodeId | None = None,
     obs=None,
-    vectorized: bool | None = None,
 ) -> list[Candidate]:
     """All valid join options for ``joiner``, sorted by (shr, delay, id).
 
@@ -107,16 +105,6 @@ def enumerate_candidates(
     (:meth:`~repro.multicast.tree.MulticastTree.delays_from_source`)
     prices every merge point's on-tree delay — the whole enumeration is
     two batched operations, never a per-candidate search.
-
-    On topologies of :data:`~repro.core.shr.VECTOR_MIN_NODES` nodes or
-    more (or with ``vectorized=True``) the scoring itself runs as one
-    array pass over the kernel's raw output: merge-point distances are
-    gathered, totalled, and ordered with a single ``lexsort`` instead of
-    materializing the full :class:`~repro.routing.spf.ShortestPaths`
-    dict and sorting per-candidate key tuples.  The result — values,
-    builtin float/int field types, and ordering — is identical to the
-    dict path (property-tested); ``routing.batch.candidates_vectorized``
-    counts the enumerations that took the array pass.
     """
     mask = failures
     if excluded_nodes:
@@ -124,50 +112,32 @@ def enumerate_candidates(
     on_tree = set(tree.on_tree_nodes()) - set(excluded_nodes)
     if mover is not None:
         on_tree.discard(mover)
-    use_arrays = (
-        topology.num_nodes >= VECTOR_MIN_NODES if vectorized is None else vectorized
-    )
     on_tree_delays = tree.delays_from_source()
-    if use_arrays:
-        candidates = _score_candidates_arrays(
-            topology,
-            tree,
-            joiner,
-            shr_values,
-            mask,
-            on_tree,
-            on_tree_delays,
-            allowed_merge_nodes,
-            obs,
-        )
-    else:
-        paths = dijkstra_with_barriers(
-            topology, joiner, barriers=on_tree, weight="delay", failures=mask, obs=obs
-        )
-        candidates = []
-        for merge in sorted(on_tree):
-            if merge not in paths.dist:
-                continue
-            if allowed_merge_nodes is not None and merge not in allowed_merge_nodes:
-                continue
-            if merge not in shr_values:
-                continue
-            toward_merge = paths.path_to(merge)
-            graft = tuple(reversed(toward_merge))
-            new_delay = paths.dist[merge]
-            candidates.append(
-                Candidate(
-                    merge_node=merge,
-                    graft_path=graft,
-                    new_delay=new_delay,
-                    total_delay=on_tree_delays[merge] + new_delay,
-                    shr=shr_values[merge],
-                )
+    paths = dijkstra_with_barriers(
+        topology, joiner, barriers=on_tree, weight="delay", failures=mask, obs=obs
+    )
+    candidates = []
+    for merge in sorted(on_tree):
+        if merge not in paths.dist:
+            continue
+        if allowed_merge_nodes is not None and merge not in allowed_merge_nodes:
+            continue
+        if merge not in shr_values:
+            continue
+        toward_merge = paths.path_to(merge)
+        graft = tuple(reversed(toward_merge))
+        new_delay = paths.dist[merge]
+        candidates.append(
+            Candidate(
+                merge_node=merge,
+                graft_path=graft,
+                new_delay=new_delay,
+                total_delay=on_tree_delays[merge] + new_delay,
+                shr=shr_values[merge],
             )
-        candidates.sort(key=lambda c: (c.shr, c.total_delay, c.merge_node))
+        )
+    candidates.sort(key=lambda c: (c.shr, c.total_delay, c.merge_node))
     if obs is not None:
-        if use_arrays:
-            obs.counter("routing.batch.candidates_vectorized").inc()
         obs.counter("routing.candidates.batched_searches").inc()
         obs.counter("routing.candidates.evaluated").inc(len(candidates))
         tracer = getattr(obs, "tracer", None)
@@ -179,78 +149,4 @@ def enumerate_candidates(
                 "search.candidates", joiner,
                 payload={"evaluated": len(candidates)},
             )
-    return candidates
-
-
-def _score_candidates_arrays(
-    topology: Topology,
-    tree: MulticastTree,
-    joiner: NodeId,
-    shr_values: dict[NodeId, int],
-    mask: FailureSet,
-    on_tree: set,
-    on_tree_delays: dict[NodeId, float],
-    allowed_merge_nodes,
-    obs,
-) -> list[Candidate]:
-    """Score and order every merge point in one array pass.
-
-    Consumes the barrier search's raw ``(dist, parent)`` arrays: one
-    gather prices all merge points, one ``lexsort`` orders them by
-    ``(shr, total delay, merge id)``.  Only the final winners' graft
-    paths are walked (index-space parent chains), and every
-    :class:`Candidate` field is built from builtin floats/ids so the
-    objects are indistinguishable from the dict path's.
-    """
-    import numpy as np
-
-    csr, dist, parent, _ = barrier_search_arrays(
-        topology, joiner, on_tree, weight="delay", failures=mask, obs=obs
-    )
-    if dist is None or not on_tree:
-        return []
-    index_of = csr.index_of
-    merges = [
-        node
-        for node in sorted(on_tree)
-        if (allowed_merge_nodes is None or node in allowed_merge_nodes)
-        and node in shr_values
-    ]
-    if not merges:
-        return []
-    rows = np.asarray([index_of[node] for node in merges], dtype=np.int64)
-    new_delay = np.asarray(dist, dtype=np.float64)[rows]
-    reachable = np.isfinite(new_delay)
-    if not reachable.any():
-        return []
-    shr = np.asarray([shr_values[node] for node in merges], dtype=np.int64)
-    total = (
-        np.asarray([on_tree_delays[node] for node in merges], dtype=np.float64)
-        + new_delay
-    )
-    picked = np.nonzero(reachable)[0]
-    # Primary key shr, then total delay, then merge id — `merges` is
-    # sorted ascending, so the position key reproduces the id tie-break
-    # for any ordered id type.
-    picked = picked[np.lexsort((picked, total[picked], shr[picked]))]
-
-    ids = csr.node_ids
-    candidates: list[Candidate] = []
-    for k in picked.tolist():
-        merge = merges[k]
-        cursor = int(rows[k])
-        graft: list[NodeId] = []
-        while cursor != -1:  # merge → … → joiner along the parent chain
-            graft.append(ids[cursor])
-            cursor = parent[cursor]
-        delay = dist[rows[k]]
-        candidates.append(
-            Candidate(
-                merge_node=merge,
-                graft_path=tuple(graft),
-                new_delay=delay,
-                total_delay=on_tree_delays[merge] + delay,
-                shr=shr_values[merge],
-            )
-        )
     return candidates

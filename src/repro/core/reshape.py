@@ -109,7 +109,7 @@ def _evaluate_reshape(
     assert upstream is not None
     # One linear pass yields every candidate's adjusted SHR (and the
     # current attachment's) instead of a quadratic per-merge-point walk.
-    table = adjusted_shr_table(tree, node, obs=obs)
+    table = adjusted_shr_table(tree, node)
     current_adjusted = table[upstream]
 
     subtree = tree.subtree_nodes(node)

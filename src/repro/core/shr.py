@@ -20,190 +20,13 @@ Equation (2):
 Both forms are implemented; a property test asserts they agree on
 arbitrary trees (this is exactly the identity the distributed protocol
 relies on to maintain SHR with only neighbor message exchange).
-
-Large trees evaluate through :class:`TreeArrays`, an int-indexed
-snapshot over which subtree counts, SHR, and adjusted SHR run as
-per-depth-level numpy sweeps instead of per-node dict walks.  The dict
-walks remain the executable reference — every table builder takes a
-``vectorized`` override, dispatches on tree size by default, and the
-array path materializes dictionaries with the *same values and the same
-insertion order* as the reference (a property suite pins this).
 """
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.errors import NotOnTreeError
 from repro.graph.topology import NodeId
 from repro.multicast.tree import MulticastTree
-
-#: On-tree size at which the array kernels overtake the dict walks.
-#: Below this the per-call numpy overhead dominates; the table builders
-#: auto-dispatch on it unless ``vectorized`` is forced.
-VECTOR_MIN_NODES = 96
-
-
-def _use_arrays(tree: MulticastTree, vectorized: bool | None) -> bool:
-    if vectorized is None:
-        return len(tree) >= VECTOR_MIN_NODES
-    return bool(vectorized)
-
-
-def _count_shr_call(obs, used_arrays: bool) -> None:
-    if obs is not None:
-        obs.counter("routing.batch.shr_calls").inc()
-        if used_arrays:
-            obs.counter("routing.batch.shr_vectorized").inc()
-
-
-class TreeArrays:
-    """Int-indexed snapshot of one tree, the substrate of the array path.
-
-    Nodes map to dense indices in sorted-id order (matching the CSR
-    convention); the structure is captured as a parent-index array, a
-    member mask, children grouped contiguously per parent, and the BFS
-    depth levels.  Subtree counts and SHR then run as one numpy sweep
-    per depth level — ``np.add.at`` pushing counts up a level, a gather
-    pulling SHR down a level — instead of one dict operation per node.
-
-    Snapshots are throwaway: the tree carries no version token, so each
-    table build captures fresh arrays (still linear, and the arithmetic
-    afterwards is what the dict walks made quadratic-ish in constant
-    factors).
-    """
-
-    __slots__ = (
-        "nodes",
-        "index_of",
-        "parent",
-        "member_mask",
-        "levels",
-        "_src",
-        "_child_flat",
-        "_child_ptr",
-        "_counts",
-        "_shr",
-        "_insertion",
-    )
-
-    def __init__(self, tree: MulticastTree) -> None:
-        nodes = tree.on_tree_nodes()
-        m = len(nodes)
-        index_of = {nid: i for i, nid in enumerate(nodes)}
-        parent = np.empty(m, dtype=np.int64)
-        for i, nid in enumerate(nodes):
-            p = tree.parent(nid)
-            parent[i] = -1 if p is None else index_of[p]
-        members = tree.members
-        member_mask = np.fromiter(
-            (nid in members for nid in nodes), dtype=bool, count=m
-        )
-        self.nodes = nodes
-        self.index_of = index_of
-        self.parent = parent
-        self.member_mask = member_mask
-
-        # Children grouped per parent: stable argsort on the parent index
-        # puts the source (parent -1) first and keeps siblings in
-        # ascending index (= ascending id) order, matching the sorted
-        # ``tree.children`` iteration the reference walks use.
-        grouped = np.argsort(parent, kind="stable")
-        self._src = int(grouped[0])
-        child_flat = grouped[1:]
-        child_counts = np.bincount(parent[parent >= 0], minlength=m)
-        child_ptr = np.zeros(m + 1, dtype=np.int64)
-        np.cumsum(child_counts, out=child_ptr[1:])
-        self._child_flat = child_flat
-        self._child_ptr = child_ptr
-
-        # BFS depth levels: every node's children sit exactly one level
-        # below it, so one array per level orders the sweeps.
-        levels = [grouped[:1]]
-        frontier = levels[0]
-        while True:
-            starts = child_ptr[frontier]
-            lens = child_ptr[frontier + 1] - starts
-            total = int(lens.sum())
-            if total == 0:
-                break
-            ends = np.cumsum(lens)
-            take = (
-                np.arange(total, dtype=np.int64)
-                - np.repeat(ends - lens, lens)
-                + np.repeat(starts, lens)
-            )
-            frontier = child_flat[take]
-            levels.append(frontier)
-        self.levels = levels
-        self._counts = None
-        self._shr = None
-        self._insertion = None
-
-    def member_counts(self) -> np.ndarray:
-        """``N_R`` per node index, swept bottom-up one level at a time."""
-        counts = self._counts
-        if counts is None:
-            counts = self.member_mask.astype(np.int64)
-            parent = self.parent
-            for frontier in reversed(self.levels[1:]):
-                np.add.at(counts, parent[frontier], counts[frontier])
-            self._counts = counts
-        return counts
-
-    def shr(self) -> np.ndarray:
-        """``SHR_{S,R}`` per node index via Equation (2), swept top-down."""
-        shr = self._shr
-        if shr is None:
-            counts = self.member_counts()
-            shr = np.zeros(len(self.nodes), dtype=np.int64)
-            parent = self.parent
-            for frontier in self.levels[1:]:
-                shr[frontier] = shr[parent[frontier]] + counts[frontier]
-            self._shr = shr
-        return shr
-
-    def overlap_with_path(self, tip: int) -> np.ndarray:
-        """Per-node overlap with the on-tree path ``S → tip`` (S excluded).
-
-        ``overlap(child) = overlap(node) + [child on the path]`` — the
-        incremental form :func:`adjusted_shr_table` rests on — as one
-        gather-and-add per depth level.
-        """
-        m = len(self.nodes)
-        parent = self.parent
-        on_path = np.zeros(m, dtype=np.int64)
-        cursor = tip
-        while parent[cursor] >= 0:
-            on_path[cursor] = 1
-            cursor = int(parent[cursor])
-        overlap = np.zeros(m, dtype=np.int64)
-        for frontier in self.levels[1:]:
-            overlap[frontier] = overlap[parent[frontier]] + on_path[frontier]
-        return overlap
-
-    def insertion_order(self) -> list[int]:
-        """Node indices in the reference tables' dict insertion order.
-
-        :func:`shr_incremental` (and :func:`adjusted_shr_table`) insert
-        the source first, then — each time the LIFO walk pops a node —
-        that node's children in ascending order.  The walk here replays
-        those stack dynamics over plain int lists; values come from the
-        arrays, so this is the only per-node Python left in the path.
-        """
-        order = self._insertion
-        if order is None:
-            flat = self._child_flat.tolist()
-            ptr = self._child_ptr.tolist()
-            order = [self._src]
-            stack = [self._src]
-            while stack:
-                i = stack.pop()
-                kids = flat[ptr[i] : ptr[i + 1]]
-                order.extend(kids)
-                stack.extend(kids)
-            self._insertion = order
-        return order
 
 
 def shr_direct(tree: MulticastTree, node: NodeId) -> int:
@@ -257,53 +80,13 @@ def subtree_member_counts(tree: MulticastTree) -> dict[NodeId, int]:
     return counts
 
 
-def shr_table(
-    tree: MulticastTree,
-    *,
-    vectorized: bool | None = None,
-    obs=None,
-) -> dict[NodeId, int]:
-    """``SHR_{S,R}`` for every on-tree node.
-
-    Dispatches between :func:`shr_incremental` (the dict reference) and
-    the :class:`TreeArrays` level sweeps: ``vectorized=None`` picks the
-    array path for trees of :data:`VECTOR_MIN_NODES` or more nodes,
-    ``True``/``False`` force one side.  Both produce the identical
-    dictionary — values *and* insertion order.  ``obs`` accounts the
-    dispatch under ``routing.batch.shr_calls`` /
-    ``routing.batch.shr_vectorized`` (the vectorization hit-rate the
-    obs report derives).
-    """
-    use_arrays = _use_arrays(tree, vectorized)
-    _count_shr_call(obs, use_arrays)
-    if not use_arrays:
-        return shr_incremental(tree)
-    arrays = TreeArrays(tree)
-    values = arrays.shr().tolist()
-    nodes = arrays.nodes
-    return {nodes[i]: values[i] for i in arrays.insertion_order()}
+def shr_table(tree: MulticastTree) -> dict[NodeId, int]:
+    """``SHR_{S,R}`` for every on-tree node (Equation (2), one traversal)."""
+    return shr_incremental(tree)
 
 
-def link_utilisation(
-    tree: MulticastTree,
-    *,
-    vectorized: bool | None = None,
-) -> dict[tuple[NodeId, NodeId], int]:
+def link_utilisation(tree: MulticastTree) -> dict[tuple[NodeId, NodeId], int]:
     """``N_L`` for every tree link (canonical edge → member count below it)."""
-    if _use_arrays(tree, vectorized):
-        arrays = TreeArrays(tree)
-        counts = arrays.member_counts().tolist()
-        parents = arrays.parent.tolist()
-        nodes = arrays.nodes
-        utilisation: dict[tuple[NodeId, NodeId], int] = {}
-        for i, node in enumerate(nodes):
-            p = parents[i]
-            if p < 0:
-                continue
-            parent = nodes[p]
-            a, b = (node, parent) if node <= parent else (parent, node)
-            utilisation[(a, b)] = counts[i]
-        return utilisation
     counts_by_node = subtree_member_counts(tree)
     utilisation = {}
     for node in tree.on_tree_nodes():
@@ -315,13 +98,7 @@ def link_utilisation(
     return utilisation
 
 
-def adjusted_shr_table(
-    tree: MulticastTree,
-    mover: NodeId,
-    *,
-    vectorized: bool | None = None,
-    obs=None,
-) -> dict[NodeId, int]:
+def adjusted_shr_table(tree: MulticastTree, mover: NodeId) -> dict[NodeId, int]:
     """:func:`shr_excluding_subtree` for *every* on-tree node, in one pass.
 
     Reshape evaluation (§3.2.3) needs the adjusted SHR of each potential
@@ -337,24 +114,9 @@ def adjusted_shr_table(
     is computed top-down in linear time.  Values agree exactly with the
     per-node form (a property test pins this); the mover's own subtree is
     included in the result — callers exclude it, as they already must.
-
-    ``vectorized`` / ``obs`` dispatch and account exactly as in
-    :func:`shr_table`; the array path runs the same recurrences as
-    level sweeps over a :class:`TreeArrays` snapshot.
     """
     if not tree.is_on_tree(mover):
         raise NotOnTreeError(mover)
-    use_arrays = _use_arrays(tree, vectorized)
-    _count_shr_call(obs, use_arrays)
-    if use_arrays:
-        arrays = TreeArrays(tree)
-        mover_idx = arrays.index_of[mover]
-        moving = int(arrays.member_counts()[mover_idx])
-        values = (
-            arrays.shr() - moving * arrays.overlap_with_path(mover_idx)
-        ).tolist()
-        nodes = arrays.nodes
-        return {nodes[i]: values[i] for i in arrays.insertion_order()}
     counts = subtree_member_counts(tree)
     moving_members = counts[mover]
     mover_path = set(tree.path_from_source(mover)[1:])  # exclude S

@@ -14,65 +14,7 @@
 - :mod:`repro.experiments.tables` — plain-text rendering of the series,
 - :mod:`repro.experiments.report` — CSV/JSON/Markdown export of results.
 
-.. deprecated::
-    Importing the harness entry points from this package
-    (``from repro.experiments import run_scenario``) is deprecated;
-    use the stable facade :mod:`repro.api` instead.  The submodule
-    paths above are unaffected.
+The harness entry points are exported by the stable facade
+:mod:`repro.api` (``from repro.api import run_scenario``); this package
+re-exports nothing itself.
 """
-
-from __future__ import annotations
-
-import warnings
-
-#: Legacy re-exports: public name -> (defining submodule, attribute).
-_DEPRECATED_EXPORTS = {
-    "ScenarioConfig": ("repro.experiments.scenario", "ScenarioConfig"),
-    "ScenarioResult": ("repro.experiments.runner", "ScenarioResult"),
-    "run_scenario": ("repro.experiments.runner", "run_scenario"),
-    "SweepPoint": ("repro.experiments.sweeps", "SweepPoint"),
-    "run_sweep": ("repro.experiments.sweeps", "run_sweep"),
-    "Figure7Result": ("repro.experiments.fig7", "Figure7Result"),
-    "run_figure7": ("repro.experiments.fig7", "run_figure7"),
-    "Figure8Result": ("repro.experiments.fig8", "Figure8Result"),
-    "run_figure8": ("repro.experiments.fig8", "run_figure8"),
-    "Figure9Result": ("repro.experiments.fig9", "Figure9Result"),
-    "run_figure9": ("repro.experiments.fig9", "run_figure9"),
-    "Figure10Result": ("repro.experiments.fig10", "Figure10Result"),
-    "run_figure10": ("repro.experiments.fig10", "run_figure10"),
-    # Execution-layer stragglers: these once leaked through this package
-    # too; the documented home for all of them is ``repro.api.__all__``.
-    "ExperimentSpec": ("repro.experiments.exec.spec", "ExperimentSpec"),
-    "Executor": ("repro.experiments.exec.executor", "Executor"),
-    "SerialExecutor": ("repro.experiments.exec.executor", "SerialExecutor"),
-    "ParallelExecutor": ("repro.experiments.exec.executor", "ParallelExecutor"),
-    "ResilientExecutor": ("repro.experiments.exec.resilience", "ResilientExecutor"),
-    "ExecPolicy": ("repro.experiments.exec.resilience", "ExecPolicy"),
-    "CheckpointStore": ("repro.experiments.exec.checkpoint", "CheckpointStore"),
-    "SubstrateCache": ("repro.experiments.exec.cache", "SubstrateCache"),
-    "make_executor": ("repro.experiments.exec.executor", "make_executor"),
-}
-
-__all__ = list(_DEPRECATED_EXPORTS)
-
-
-def __getattr__(name: str):
-    try:
-        module_name, attr = _DEPRECATED_EXPORTS[name]
-    except KeyError:
-        raise AttributeError(
-            f"module {__name__!r} has no attribute {name!r}"
-        ) from None
-    warnings.warn(
-        f"importing {name!r} from 'repro.experiments' is deprecated; "
-        f"use 'repro.api' (or {module_name!r} directly)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    import importlib
-
-    return getattr(importlib.import_module(module_name), attr)
-
-
-def __dir__() -> list[str]:
-    return sorted(set(globals()) | set(_DEPRECATED_EXPORTS))

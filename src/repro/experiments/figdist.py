@@ -28,18 +28,17 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
+from repro.controller.controller import ENGINES
 from repro.controller.service import ServiceShard, plan_shards
-from repro.controller.spec import PROTOCOLS, ServiceSpec
+from repro.controller.spec import ServiceSpec
 from repro.errors import ConfigurationError
 from repro.experiments.tables import format_table
+from repro.multicast.backup_trees import DEFAULT_BUDGET
 from repro.obs import NULL_OBS
 from repro.obs.registry import HdrHistogram
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.experiments.exec.executor import Executor
-
-#: Engines compared by the full figure, in render order.
-ENGINES: tuple[str, ...] = PROTOCOLS
 
 #: Quantiles rendered per engine/metric row.
 QUANTILES: tuple[tuple[str, float], ...] = (
@@ -61,7 +60,7 @@ def build_engine_spec(
     member_seed: int = 0,
     sources: int = 8,
     d_thresh: float = 0.3,
-    protect_budget: int = 4,
+    protect_budget: int = DEFAULT_BUDGET,
     workload: str = "static",
     failure: str = "auto",
     shard_size: int = 250,
@@ -184,13 +183,13 @@ class DistributionResult:
 
 
 def run_distribution_figure(
-    engines: tuple = ENGINES,
+    engines: tuple = tuple(ENGINES),
     groups: int = 2000,
     n: int = 100,
     alpha: float = 0.2,
     sources: int = 8,
     d_thresh: float = 0.3,
-    protect_budget: int = 4,
+    protect_budget: int = DEFAULT_BUDGET,
     workload: str = "static",
     failure: str = "auto",
     shard_size: int = 250,

@@ -45,6 +45,7 @@ from repro.errors import CheckpointError, ConfigurationError
 from repro.experiments.scenario import validate_scenario_params
 from repro.experiments.tables import format_table
 from repro.multicast.backup_trees import (
+    DEFAULT_BUDGET,
     AlternatePathProtocol,
     BackupTreeProtocol,
 )
@@ -98,7 +99,7 @@ class ProtectionPoint:
     alpha: float = 0.2
     beta: float = 0.25
     d_thresh: float = 0.3
-    budget: int = 4
+    budget: int = DEFAULT_BUDGET
     trials: int = 3
     topology_seed: int = 0
     member_seed: int = 0
@@ -405,7 +406,7 @@ def run_protection_figure(
     group_size: int = 12,
     alpha: float = 0.2,
     d_thresh: float = 0.3,
-    budget: int = 4,
+    budget: int = DEFAULT_BUDGET,
     trials: int = 3,
     topologies: int = 4,
     member_sets: int = 2,

@@ -13,8 +13,10 @@ pre-installed tree takes over, recovery distance zero, latency equal to
 the detection delay alone.
 
 Three engines make the family selectable wherever SMRP/SPF are today
-(controller ``_ENGINES``, :class:`~repro.controller.spec.ServiceSpec`
-``PROTOCOLS``, the CLI's ``--protocol``):
+(the controller's engine table
+:data:`~repro.controller.controller.ENGINES`, from which
+:class:`~repro.controller.spec.ServiceSpec` and the CLI's
+``--protocol`` derive their choices):
 
 ``protection``
     SPF base tree + per-link backup trees; failures no backup covers

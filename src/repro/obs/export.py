@@ -89,12 +89,6 @@ def render_run_report(report: dict) -> str:
         for name in sorted(counters):
             lines.append(f"  {name:<{width}}  {counters[name]}")
 
-    batch_lines = _render_batch_routing(counters)
-    if batch_lines:
-        lines.append("")
-        lines.append("batch routing:")
-        lines.extend(batch_lines)
-
     gauges = metrics.get("gauges", {})
     if gauges:
         lines.append("")
@@ -214,45 +208,6 @@ def _fixed_quantile(h: dict, q: float) -> float | None:
     low = h["min"] if h["min"] is not None else value
     high = h["max"] if h["max"] is not None else value
     return min(max(value, low), high)
-
-
-def _render_batch_routing(counters: dict) -> list[str]:
-    """Derived view of the batch-kernel counters (empty when none fired).
-
-    Surfaces what the raw counters only imply: how large the controller's
-    restoration buckets were (roots amortized per multi-root kernel call)
-    and what fraction of the SHR/candidate computations took the
-    vectorized array path rather than the dict implementations.
-    """
-    lines: list[str] = []
-    calls = counters.get("routing.batch.calls", 0)
-    if calls:
-        roots = counters.get("routing.batch.roots", 0)
-        rounds = counters.get("routing.batch.rounds", 0)
-        lines.append(
-            f"  multi-root SPF: {calls} calls, {roots} roots "
-            f"({roots / calls:.1f} roots/call), {rounds} sweep rounds"
-        )
-    buckets = counters.get("controller.batch.buckets", 0)
-    if buckets:
-        size = counters.get("controller.batch.bucket_size", 0)
-        warmed = counters.get("controller.batch.warmed", 0)
-        lines.append(
-            f"  restoration buckets: {buckets} "
-            f"(mean size {size / buckets:.1f}), {warmed} entries warmed"
-        )
-    vectorized = counters.get("routing.batch.shr_vectorized", 0) + counters.get(
-        "routing.batch.candidates_vectorized", 0
-    )
-    eligible = counters.get("routing.batch.shr_calls", 0) + counters.get(
-        "routing.candidates.batched_searches", 0
-    )
-    if eligible:
-        lines.append(
-            f"  vectorization hit-rate: {vectorized}/{eligible} "
-            f"({vectorized / eligible:.1%} of SHR + candidate passes)"
-        )
-    return lines
 
 
 # ----------------------------------------------------------------------

@@ -28,9 +28,6 @@ METRIC_NAMES: frozenset[str] = frozenset({
     "cache.topology.evictions",
     "cache.topology.hit_rate",
     "cache.topology.size",
-    "controller.batch.bucket_size",
-    "controller.batch.buckets",
-    "controller.batch.warmed",
     "controller.failures_dispatched",
     "controller.groups_affected",
     "controller.groups_opened",
@@ -65,11 +62,8 @@ METRIC_NAMES: frozenset[str] = frozenset({
     "recovery.repair.spf_runs",
     "recovery.repair.unrecoverable",
     "routing.batch.calls",
-    "routing.batch.candidates_vectorized",
     "routing.batch.roots",
     "routing.batch.rounds",
-    "routing.batch.shr_calls",
-    "routing.batch.shr_vectorized",
     "routing.candidates.batched_searches",
     "routing.candidates.evaluated",
     "routing.kernel.barrier_calls",
@@ -108,7 +102,6 @@ METRIC_NAMES: frozenset[str] = frozenset({
 
 #: Span names, as passed to ``obs.span(...)`` / ``obs.spans.span(...)``.
 SPAN_NAMES: frozenset[str] = frozenset({
-    "controller.batch_warm",
     "controller.fail",
     "controller.restore",
     "demo.work",

@@ -11,9 +11,14 @@ implements that underlay from scratch:
 - :mod:`repro.routing.spf` — Dijkstra shortest-path-first with
   deterministic tie-breaking,
 - :mod:`repro.routing.csr` — the compiled CSR graph form and the
-  array-based SPF kernels the searches actually run on,
-- :mod:`repro.routing.spf_reference` — the retained dict-based
-  implementations, the kernels' executable specification,
+  array-based SPF kernels the searches actually run on (their dict-based
+  executable specification lives with the tests,
+  ``tests/routing/spf_reference.py``),
+- :mod:`repro.routing.batch` — a multi-root SPF sweep
+  (:func:`~repro.routing.batch.dijkstra_multi`) and, through
+  :meth:`RouteCache.warm_batch`, batched cache warming; neither has a
+  caller in the package (restoration looks each cut member up through
+  :meth:`RouteCache.shortest_paths`),
 - :mod:`repro.routing.tables` — per-node routing tables,
 - :mod:`repro.routing.ksp` — Yen's k-shortest loopless paths,
 - :mod:`repro.routing.link_state` — a link-state database with flooding

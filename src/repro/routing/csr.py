@@ -23,11 +23,11 @@ topology state* into a **compressed sparse row** form:
   bytearray probes.
 
 The kernels (:func:`csr_dijkstra`, :func:`csr_dijkstra_barriers`) are
-drop-in replacements for the reference implementations in
-:mod:`repro.routing.spf_reference`: they perform the same float
-operations in the same order, push the same heap entries, and apply the
-same smaller-predecessor tie-break, so their output — including dict
-*insertion order*, which downstream routing tables iterate — is
+drop-in replacements for the dict-based reference implementations kept
+with the tests (``tests/routing/spf_reference.py``): they perform the
+same float operations in the same order, push the same heap entries, and
+apply the same smaller-predecessor tie-break, so their output — including
+dict *insertion order*, which downstream routing tables iterate — is
 bit-identical.  A property suite (``tests/properties/test_csr_equivalence``)
 asserts that equivalence on randomised topologies and failure sets.
 """

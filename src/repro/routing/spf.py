@@ -25,8 +25,8 @@ state): dense indices, pre-sorted neighbour slices, flat weight arrays,
 and failure bitsets replace the dict-of-dict walk.  The public functions
 here keep the original :class:`ShortestPaths` contract bit-for-bit —
 including dict insertion order and the predecessor-id tie-break — which
-the property suite checks against the retained dict-based specification
-in :mod:`repro.routing.spf_reference`.
+the property suite checks against the dict-based specification kept
+with the tests (``tests/routing/spf_reference.py``).
 """
 
 from __future__ import annotations
@@ -174,10 +174,9 @@ def barrier_search_arrays(
 
     Returns ``(csr, dist, parent, order)`` exactly as
     :func:`~repro.routing.csr.csr_dijkstra_barriers` produced them —
-    flat index-addressed arrays, no dict materialization.  The vectorized
-    candidate scorer in :mod:`repro.core.candidates` consumes these
-    directly; :func:`dijkstra_with_barriers` is the dict-building wrapper
-    around this call.  A failed ``source`` short-circuits to
+    flat index-addressed arrays, no dict materialization.
+    :func:`dijkstra_with_barriers` is the dict-building wrapper around
+    this call.  A failed ``source`` short-circuits to
     ``(csr, None, None, None)`` (the wrapper's empty-result semantics)
     without running the kernel.
     """

@@ -113,6 +113,19 @@ class TestFailureDispatch:
         assert dispatch.rows == ()
         assert dispatch.affected == 0
 
+    def test_empty_dispatch_resets_groups_checked(self, controller):
+        # Regression: an empty fail() used to leave the previous
+        # dispatch's candidate count armed for restore() to report.
+        gids = open_spread(controller)
+        first = controller.restore(self.on_tree_failure(controller, gids[0]))
+        assert first.groups_checked >= 1
+        controller.fail(FailureSet())
+        dispatch = controller.restore()
+        assert dispatch.groups_checked == 0
+        assert dispatch.describe().startswith(
+            "no failures: 0/6 groups affected (0 indexed candidates)"
+        )
+
     def test_restore_without_fail_raises(self, controller):
         open_spread(controller)
         with pytest.raises(ConfigurationError, match="nothing to restore"):
@@ -193,81 +206,6 @@ class TestFailureDispatch:
         assert metrics["restorations"] == dispatch.affected
         assert metrics["members"] == sum(
             len(controller.tree(gid).members) for gid in gids
-        )
-
-
-class TestBatchedRestoration:
-    """fail()-time cache warming: one multi-root kernel per bucket, with
-    restoration results identical to the per-group scalar path."""
-
-    def make(self, waxman50, batch, obs=None):
-        from repro.experiments.exec.cache import SubstrateCache
-
-        return MulticastController(
-            waxman50,
-            cache=SubstrateCache(),
-            obs=obs if obs is not None else Observability(),
-            batch_restoration=batch,
-        )
-
-    def scenario(self, controller):
-        gids = open_spread(controller, count=8)
-        link = min(controller.tree(gids[0]).tree_links())
-        failures = FailureSet.links(link)
-        affected = controller.fail(failures)
-        dispatch = controller.restore()
-        return affected, dispatch
-
-    def test_batched_identical_to_per_group(self, waxman50):
-        batched = self.make(waxman50, batch=True)
-        plain = self.make(waxman50, batch=False)
-        a1, d1 = self.scenario(batched)
-        a0, d0 = self.scenario(plain)
-        assert a1 == a0
-        assert [r.to_dict() for r in d1.rows] == [r.to_dict() for r in d0.rows]
-        for gid in a1:
-            assert batched.tree(gid).tree_links() == plain.tree(gid).tree_links()
-
-    def test_batch_counters_and_warmed_hits(self, waxman50):
-        obs = Observability()
-        controller = self.make(waxman50, batch=True, obs=obs)
-        affected, _ = self.scenario(controller)
-        counters = obs.metrics.snapshot()["counters"]
-        if affected:
-            assert counters.get("controller.batch.buckets", 0) >= 1
-            assert counters.get("controller.batch.bucket_size", 0) >= 1
-            # Every warmed entry came through the batch-insert path.
-            assert counters.get("cache.routes.batch_inserts", 0) == counters.get(
-                "controller.batch.warmed", 0
-            )
-
-    def test_disabled_emits_no_batch_counters(self, waxman50):
-        obs = Observability()
-        controller = self.make(waxman50, batch=False, obs=obs)
-        self.scenario(controller)
-        counters = obs.metrics.snapshot()["counters"]
-        assert "controller.batch.buckets" not in counters
-        assert "cache.routes.batch_inserts" not in counters
-
-    def test_no_cache_is_a_noop(self, waxman50):
-        controller = MulticastController(waxman50, batch_restoration=True)
-        affected, dispatch = self.scenario(controller)
-        assert dispatch.affected == len(affected)
-
-    def test_env_var_default(self, waxman50, monkeypatch):
-        monkeypatch.delenv("REPRO_BATCH_RESTORE", raising=False)
-        assert MulticastController(waxman50).batch_restoration is True
-        monkeypatch.setenv("REPRO_BATCH_RESTORE", "0")
-        assert MulticastController(waxman50).batch_restoration is False
-        monkeypatch.setenv("REPRO_BATCH_RESTORE", "off")
-        assert MulticastController(waxman50).batch_restoration is False
-        monkeypatch.setenv("REPRO_BATCH_RESTORE", "1")
-        assert MulticastController(waxman50).batch_restoration is True
-        # Explicit argument always wins over the environment.
-        monkeypatch.setenv("REPRO_BATCH_RESTORE", "0")
-        assert (
-            MulticastController(waxman50, batch_restoration=True).batch_restoration
-            is True
         )
 
 

@@ -1,26 +1,16 @@
-"""Batch kernels vs. looped scalar runs — the full bit-identity contract.
+"""Multi-root SPF vs. looped scalar runs — the full bit-identity contract.
 
-The multi-root sweep (``repro.routing.batch``), the vectorized SHR tables
-(``repro.core.shr``), and the array candidate scorer
-(``repro.core.candidates``) all promise results *indistinguishable* from
-their scalar/dict counterparts: same IEEE-754 values, same tie-breaks,
-same dict insertion order, same builtin field types.  These properties
-drive each pair through randomised Waxman ensembles crossed with random
-failure scenarios, barrier sets, and member sets.
+The multi-root sweep (``repro.routing.batch``) promises results
+*indistinguishable* from one scalar kernel run per root: same IEEE-754
+values, same tie-breaks, same dict insertion order.  These properties
+drive both through randomised Waxman ensembles crossed with random
+failure scenarios and barrier sets.
 """
 
 from hypothesis import given, settings, strategies as st
 
-from repro.core.candidates import enumerate_candidates
-from repro.core.protocol import SMRPConfig, SMRPProtocol
-from repro.core.shr import (
-    adjusted_shr_table,
-    link_utilisation,
-    shr_table,
-)
 from repro.graph.topology import Topology
 from repro.graph.waxman import WaxmanConfig, waxman_topology
-from repro.multicast.spf_protocol import SPFMulticastProtocol
 from repro.routing.batch import csr_dijkstra_multi, dijkstra_multi
 from repro.routing.csr import (
     compile_failures,
@@ -164,111 +154,3 @@ class TestMultiRootKernel:
         assert got.parent[9] == -1
         assert got.dist == want.dist and got.parent == want.parent
         assert list(got.dist) == list(want.dist)
-
-
-def build_tree(topo_seed: int, member_seed: int, use_smrp: bool):
-    topology = waxman_topology(
-        WaxmanConfig(n=30, alpha=0.5, beta=0.4, seed=topo_seed)
-    ).topology
-    import numpy as np
-
-    rng = np.random.default_rng(member_seed)
-    members = [int(m) for m in rng.choice(range(1, 30), size=8, replace=False)]
-    if use_smrp:
-        proto = SMRPProtocol(topology, 0, config=SMRPConfig(d_thresh=0.4))
-        proto.build(members)
-        return topology, proto.tree
-    proto = SPFMulticastProtocol(topology, 0)
-    return topology, proto.build(members)
-
-
-tree_params = st.tuples(st.integers(0, 200), st.integers(0, 200), st.booleans())
-
-
-class TestVectorizedShr:
-    """Array SHR tables vs the dict/incremental reference — including
-    dict insertion order, which callers' iteration observes."""
-
-    @settings(max_examples=30, deadline=None)
-    @given(tree_params)
-    def test_shr_table_identical(self, params):
-        _, tree = build_tree(*params)
-        dict_table = shr_table(tree, vectorized=False)
-        vec_table = shr_table(tree, vectorized=True)
-        assert vec_table == dict_table
-        assert list(vec_table) == list(dict_table)
-        assert all(type(v) is int for v in vec_table.values())
-
-    @settings(max_examples=30, deadline=None)
-    @given(tree_params)
-    def test_adjusted_shr_table_identical(self, params):
-        _, tree = build_tree(*params)
-        for mover in sorted(tree.on_tree_nodes()):
-            if mover == tree.source:
-                continue
-            dict_table = adjusted_shr_table(tree, mover, vectorized=False)
-            vec_table = adjusted_shr_table(tree, mover, vectorized=True)
-            assert vec_table == dict_table
-            assert list(vec_table) == list(dict_table)
-
-    @settings(max_examples=30, deadline=None)
-    @given(tree_params)
-    def test_link_utilisation_identical(self, params):
-        _, tree = build_tree(*params)
-        assert link_utilisation(tree, vectorized=True) == link_utilisation(
-            tree, vectorized=False
-        )
-
-
-class TestVectorizedCandidates:
-    @settings(max_examples=30, deadline=None)
-    @given(
-        tree_params,
-        st.integers(0, 29),
-        st.lists(st.integers(0, 100), max_size=2),
-    )
-    def test_enumeration_identical(self, params, joiner, link_idx):
-        topology, tree = build_tree(*params)
-        if joiner in tree.on_tree_nodes():
-            return
-        failures = random_failures(topology, link_idx, [])
-        shr_values = shr_table(tree)
-        loop = enumerate_candidates(
-            topology, tree, joiner, shr_values, failures=failures,
-            vectorized=False,
-        )
-        vec = enumerate_candidates(
-            topology, tree, joiner, shr_values, failures=failures,
-            vectorized=True,
-        )
-        assert vec == loop  # dataclass equality: every field, every rank
-        for got, want in zip(vec, loop):
-            assert type(got.new_delay) is type(want.new_delay)
-            assert type(got.total_delay) is type(want.total_delay)
-
-    @settings(max_examples=20, deadline=None)
-    @given(tree_params, st.integers(2, 6))
-    def test_reshape_style_enumeration_identical(self, params, modulo):
-        """Exercises mover exclusion + allowed_merge_nodes restriction."""
-        topology, tree = build_tree(*params)
-        movers = [m for m in sorted(tree.members) if m != tree.source]
-        if not movers:
-            return
-        mover = movers[0]
-        subtree = tree.subtree_nodes(mover)
-        shr_values = adjusted_shr_table(tree, mover)
-        allowed = frozenset(
-            n for n in tree.on_tree_nodes() if n % modulo == 0
-        )
-        kwargs = dict(
-            excluded_nodes=frozenset(subtree) - {mover},
-            allowed_merge_nodes=allowed,
-            mover=mover,
-        )
-        loop = enumerate_candidates(
-            topology, tree, mover, shr_values, vectorized=False, **kwargs
-        )
-        vec = enumerate_candidates(
-            topology, tree, mover, shr_values, vectorized=True, **kwargs
-        )
-        assert vec == loop

@@ -1,7 +1,7 @@
 """CSR kernels vs. the dict-based reference implementation.
 
 The compiled kernels in ``repro.routing.csr`` must be *bit-identical* to
-the retained specification in ``repro.routing.spf_reference``: same
+the retained specification in ``tests/routing/spf_reference.py``: same
 distances, same parents (tie-breaks included), and same dict insertion
 order (downstream routing tables iterate ``dist``, so even ordering is
 observable behaviour).  These properties drive both through randomised
@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 from repro.graph.waxman import WaxmanConfig, waxman_topology
 from repro.routing.failure_view import NO_FAILURES, FailureSet
 from repro.routing.spf import dijkstra, dijkstra_with_barriers
-from repro.routing.spf_reference import (
+from tests.routing.spf_reference import (
     dijkstra_reference,
     dijkstra_with_barriers_reference,
 )

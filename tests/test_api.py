@@ -1,4 +1,4 @@
-"""The ``repro.api`` facade and the legacy-import deprecation shims."""
+"""The ``repro.api`` facade and the harness import paths."""
 
 import warnings
 
@@ -162,42 +162,14 @@ class TestSession:
 
 
 class TestDeprecationShims:
-    @pytest.mark.parametrize(
-        "name",
-        ["ScenarioConfig", "run_scenario", "run_sweep", "run_figure8",
-         "SweepPoint", "SubstrateCache", "make_executor", "ExecPolicy",
-         "CheckpointStore", "ResilientExecutor"],
-    )
-    def test_legacy_import_warns_and_resolves(self, name):
-        import repro.experiments as experiments
-
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            attr = getattr(experiments, name)
-        assert attr is not None
-        assert any(
-            issubclass(w.category, DeprecationWarning)
-            and "repro.api" in str(w.message)
-            for w in caught
-        )
-
-    def test_legacy_objects_are_the_real_ones(self):
-        import repro.experiments as experiments
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            assert experiments.ScenarioConfig is ScenarioConfig
+    """The legacy ``repro.experiments`` re-exports are gone; the
+    submodule paths and the ``repro.api`` facade are the import homes."""
 
     def test_unknown_attribute_still_raises(self):
         import repro.experiments as experiments
 
         with pytest.raises(AttributeError):
             experiments.does_not_exist
-
-    def test_dir_lists_legacy_names(self):
-        import repro.experiments as experiments
-
-        assert "run_figure10" in dir(experiments)
 
     def test_submodule_imports_unaffected(self):
         with warnings.catch_warnings():
