@@ -202,15 +202,15 @@ class MulticastController:
         Default engine for new groups: ``"smrp"``, ``"spf"``,
         ``"protection"`` (SPF + per-link backup trees), ``"hybrid"``
         (SMRP + per-link backup trees), or ``"alternate"`` (SPF +
-        precomputed single-failure alternate routes).
+        single-failure alternate routes).
     smrp_config:
         Shared :class:`~repro.core.protocol.SMRPConfig` for SMRP groups
         (``self_check`` off by default at service scale); also the inner
         config of ``hybrid`` groups.
     protect_budget:
         Protected-link budget ``F`` for ``protection``/``hybrid``
-        groups — the top-``F`` most-loaded tree links get a precomputed
-        backup tree each.
+        groups — the top-``F`` most-loaded tree links get a backup tree
+        each, built when a failure of the link first needs it.
     cache:
         Optional :class:`~repro.experiments.exec.cache.SubstrateCache`;
         its route cache is shared by every hosted engine, so the

@@ -155,9 +155,9 @@ class ProtectionPoint:
         """Build all five engines once, then measure every trial.
 
         The engines share the executor's route cache, so the five
-        builds (and the precomputed backup state) mostly reuse one
-        another's SPF runs.  Per-trial measurement never mutates an
-        engine: ``local``/``global`` plan through
+        builds (and the backup state ``standing_links`` computes)
+        mostly reuse one another's SPF runs.  Per-trial measurement
+        never mutates an engine: ``local``/``global`` plan through
         :func:`~repro.core.recovery.repair_tree` on the standing tree,
         the protection family through its ``plan_repair``.
         """

@@ -6,11 +6,10 @@ protection" item names, modelled on the TUDelft ``PerLinkTreeBuilder``
 Fast Failover scheme: with a protected-link budget ``F``, the builder
 ranks the current tree's links by *load* (the member count of the
 subtree each link carries, the paper's ``N_R``), and for each of the
-top-``F`` links installs — before any failure — the complete tree the
-session would rebuild if exactly that link failed.  A failure hitting a
-protected link is then survived by an instant **switchover**: the
-pre-installed tree takes over, recovery distance zero, latency equal to
-the detection delay alone.
+top-``F`` links installs the complete tree the session would rebuild if
+exactly that link failed.  A failure hitting a protected link is then
+survived by an instant **switchover**: the installed tree takes over,
+recovery distance zero, latency equal to the detection delay alone.
 
 Three engines make the family selectable wherever SMRP/SPF are today
 (the controller's engine table
@@ -28,14 +27,20 @@ Three engines make the family selectable wherever SMRP/SPF are today
 ``alternate``
     SPF base tree + per-member Bhosle–Gonzalez single-failure alternate
     routes (:mod:`repro.routing.alternate`): a disconnected member
-    re-joins over its precomputed route with no re-convergence wait,
-    falling back to the global detour when no precomputed route
-    survives the failure.
+    re-joins over its alternate route with no re-convergence wait,
+    falling back to the global detour when no alternate survives the
+    failure.
 
-Backup state is recomputed lazily after membership churn (a real
-deployment installs it at change time; computing it at the next use
-yields the identical state for a fraction of the work) and accounted as
-*standing state*: links the backups reserve beyond the working tree.
+The dataplane here is simulated, so installing protection state is a
+modelled quantity, not work that must happen ahead of time.  A backup
+is a deterministic function of (tree, link) and an alternate of
+(topology, member, source, link), so both are computed at first need —
+a backup when ``plan_repair`` sees its link fail, an alternate when a
+failure cuts its member off — and a switchover is still identical to a
+fresh post-failure rebuild.  What a deployment would hold installed is
+reported as *standing state* — links the backups or alternates reserve
+beyond the working tree — and ``standing_links`` computes whatever the
+figure asks for that is not built yet.
 """
 
 from __future__ import annotations
@@ -52,6 +57,7 @@ from repro.core.recovery import (
     repair_tree,
     surviving_subtree,
 )
+from repro.core.shr import link_utilisation
 from repro.errors import ConfigurationError, UnrecoverableFailureError
 from repro.graph.topology import Edge, NodeId, Topology, edge_key
 from repro.multicast.spf_protocol import SPFMulticastProtocol
@@ -68,23 +74,19 @@ def protected_links(tree: MulticastTree, budget: int) -> list[Edge]:
     """The top-``budget`` most-loaded tree links, most-loaded first.
 
     A link's load is ``N_R`` of its downstream end — the members the
-    link carries.  Equal loads break ties by canonical edge key, so the
-    protected set is a deterministic function of the tree.
+    link carries, counted for every link in one post-order pass.  Equal
+    loads break ties by canonical edge key, so the protected set is a
+    deterministic function of the tree.
     """
     if budget < 0:
         raise ConfigurationError(f"budget must be >= 0, got {budget}")
-    ranked = []
-    for edge in sorted(tree.tree_links()):
-        u, v = edge
-        downstream = v if tree.parent(v) == u else u
-        ranked.append((-tree.subtree_member_count(downstream), edge))
-    ranked.sort()
-    return [edge for _, edge in ranked[:budget]]
+    load = link_utilisation(tree)
+    return sorted(load, key=lambda edge: (-load[edge], edge))[:budget]
 
 
 @dataclass(frozen=True)
 class BackupTree:
-    """The pre-installed tree for one protected link's failure.
+    """The installed tree for one protected link's failure.
 
     ``tree`` is exactly what :func:`~repro.core.recovery.repair_tree`
     would rebuild after that failure (the switchover-equivalence
@@ -98,12 +100,15 @@ class BackupTree:
 
 
 class PerLinkBackupTrees:
-    """The protected-link set and its pre-installed backup trees.
+    """The protected-link set of a tree and the backups built for it.
 
-    ``strategy`` selects how backups are *computed* (the fallback
-    strategy of the owning engine, so a switchover is indistinguishable
-    from a fresh post-failure rebuild); switchover itself never runs a
-    path search.
+    The protected links are re-ranked whenever the tree changes.  A
+    link's backup is built the first time it is needed and kept until
+    the tree changes — a new tree object, or :meth:`mark_dirty` after an
+    in-place mutation.  ``strategy`` selects how backups are *computed*
+    (the fallback strategy of the owning engine, so a switchover is
+    indistinguishable from a fresh post-failure rebuild); switchover
+    itself never runs a path search.
     """
 
     def __init__(
@@ -119,27 +124,39 @@ class PerLinkBackupTrees:
         self.strategy = strategy
         self.route_cache = route_cache
         self.obs = obs if obs is not None else NULL_OBS
+        self._tree: MulticastTree | None = None
+        self._ranked: list[Edge] = []
         self._backups: dict[Edge, BackupTree] = {}
-        self._built_for: MulticastTree | None = None
         self._dirty = True
 
     def mark_dirty(self) -> None:
         self._dirty = True
 
-    def ensure(self, tree: MulticastTree) -> None:
-        """(Re)compute the backups for ``tree`` if anything changed."""
-        if not self._dirty and self._built_for is tree:
-            return
-        self._backups = {}
-        for link in protected_links(tree, self.budget):
-            failures = FailureSet.links(link)
-            # Precomputation is bookkeeping, not restoration: run it
+    def ensure(self, tree: MulticastTree, failed_links=None) -> None:
+        """Build the backups a failure of ``failed_links`` could switch to.
+
+        A changed tree is re-ranked first and its old backups dropped.
+        Only protected links among ``failed_links`` get a backup, and
+        only once per tree; ``None`` stands for every protected link
+        (the standing state).
+        """
+        if self._dirty or self._tree is not tree:
+            self._tree = tree
+            self._ranked = protected_links(tree, self.budget)
+            self._backups = {}
+            self._dirty = False
+        for link in self._ranked:
+            if link in self._backups:
+                continue
+            if failed_links is not None and link not in failed_links:
+                continue
+            # Building a backup is bookkeeping, not restoration: run it
             # under a silent obs so recovery.* counters and traced
             # episodes keep meaning "a failure actually happened".
             report = repair_tree(
                 self.topology,
                 tree,
-                failures,
+                FailureSet.links(link),
                 strategy=self.strategy,
                 obs=NULL_OBS,
                 route_cache=self.route_cache,
@@ -149,45 +166,47 @@ class PerLinkBackupTrees:
                 tree=report.repaired_tree,
                 unprotectable=tuple(sorted(report.unrecoverable)),
             )
-        self._built_for = tree
-        self._dirty = False
-        self.obs.counter("protection.backups_built").inc(len(self._backups))
+            self.obs.counter("protection.backups_built").inc()
 
-    def links(self) -> list[Edge]:
-        """The protected links, most-loaded first."""
-        return list(self._backups)
+    def links(self, tree: MulticastTree) -> list[Edge]:
+        """``tree``'s protected links, most-loaded first."""
+        self.ensure(tree, ())
+        return list(self._ranked)
 
-    def lookup(self, failures: FailureSet) -> BackupTree | None:
-        """The first pre-installed tree that survives ``failures`` whole.
+    def lookup(
+        self, tree: MulticastTree, failures: FailureSet
+    ) -> BackupTree | None:
+        """The first backup of ``tree`` that survives ``failures`` whole.
 
         A backup covers the failure when its protected link is among the
-        failed links and the stored tree touches no failed component —
-        then every member it reaches is served the instant traffic
-        switches over.  Checked in load-rank order, so coverage is
-        deterministic under multi-failures too.
+        failed links and its tree touches no failed component — then
+        every member it reaches is served the instant traffic switches
+        over.  Checked in load-rank order, so coverage is deterministic
+        under multi-failures too.  Only the failed links' backups are
+        built.
         """
         if not failures.failed_links:
             return None
-        for backup in self._backups.values():
-            if backup.link not in failures.failed_links:
+        self.ensure(tree, failures.failed_links)
+        for link in self._ranked:
+            if link not in failures.failed_links:
                 continue
-            if backup.tree.affected_by(failures):
-                continue
-            return backup
+            backup = self._backups[link]
+            if not backup.tree.affected_by(failures):
+                return backup
         return None
 
     def standing_links(self, tree: MulticastTree) -> set[Edge]:
-        """Links the backups reserve beyond the working tree."""
+        """Links the backups reserve beyond the working tree.
+
+        Builds every protected link's backup not built yet.
+        """
+        self.ensure(tree)
         working = tree.tree_links()
         standing: set[Edge] = set()
         for backup in self._backups.values():
             standing |= backup.tree.tree_links() - working
         return standing
-
-    def standing_cost(self, tree: MulticastTree) -> float:
-        return sum(
-            self.topology.cost(u, v) for u, v in self.standing_links(tree)
-        )
 
 
 class BackupTreeProtocol:
@@ -266,18 +285,16 @@ class BackupTreeProtocol:
     def build(self, members) -> MulticastTree:
         tree = self._inner.build(list(members))
         self.backups.mark_dirty()
-        self.backups.ensure(self.tree)
         return tree
 
     def plan_repair(self, failures: FailureSet) -> TreeRepairReport:
         """The repair this engine would perform, without mutating it.
 
-        Switchover when a pre-installed tree covers the failure
-        (strategy ``"backup"``, every re-attached member at recovery
-        distance zero); otherwise the mode's reactive fallback.
+        Switchover when a backup tree covers the failure (strategy
+        ``"backup"``, every re-attached member at recovery distance
+        zero); otherwise the mode's reactive fallback.
         """
-        self.backups.ensure(self.tree)
-        backup = self.backups.lookup(failures)
+        backup = self.backups.lookup(self.tree, failures)
         if backup is not None:
             with self.obs.span("protection.switchover"):
                 report = self._switchover_report(backup, failures)
@@ -310,8 +327,8 @@ class BackupTreeProtocol:
             if failures.node_failed(member) or not repaired.is_member(member):
                 report.unrecoverable.append(member)
                 continue
-            # The branch serving this member is pre-installed: nothing
-            # new enters the tree at failure time, hence RD = 0.
+            # The branch serving this member is installed: nothing new
+            # enters the tree at failure time, hence RD = 0.
             report.recoveries.append(
                 RecoveryResult(
                     member=member,
@@ -337,7 +354,6 @@ class BackupTreeProtocol:
     # Accounting
     # ------------------------------------------------------------------
     def standing_links(self) -> set[Edge]:
-        self.backups.ensure(self.tree)
         standing = self.backups.standing_links(self.tree)
         self.obs.counter("protection.standing_links").inc(len(standing))
         return standing
@@ -347,15 +363,15 @@ class BackupTreeProtocol:
 
 
 class AlternatePathProtocol:
-    """Alternate-path engine: SPF tree + precomputed single-failure routes.
+    """Alternate-path engine: SPF tree + single-failure alternate routes.
 
-    Every member carries an :class:`AlternateRouteTable` toward the
-    source.  On failure, a disconnected member re-joins over the
-    precomputed route that survives (no re-convergence wait — the
-    Bhosle–Gonzalez promotion), grafting at the first surviving on-tree
-    node; members whose tables don't cover the failure fall back to the
-    global detour, with per-member strategy provenance kept in the
-    report.
+    A member cut off by a failure gets an :class:`AlternateRouteTable`
+    toward the source, holding the alternate for the primary link the
+    failure hit.  It re-joins over the route that survives (no
+    re-convergence wait — the Bhosle–Gonzalez promotion), grafting at
+    the first surviving on-tree node; members whose tables don't cover
+    the failure fall back to the global detour, with per-member strategy
+    provenance kept in the report.
     """
 
     name = "alternate"
@@ -374,7 +390,7 @@ class AlternatePathProtocol:
         self._inner = SPFMulticastProtocol(
             topology, source, self_check=False, route_cache=route_cache, obs=obs
         )
-        self._tables: dict[NodeId, AlternateRouteTable] = {}
+        self._tables: dict[NodeId, AlternateRouteTable | None] = {}
 
     @property
     def tree(self) -> MulticastTree:
@@ -388,31 +404,39 @@ class AlternatePathProtocol:
         return self._inner.leave(member)
 
     def build(self, members) -> MulticastTree:
-        tree = self._inner.build(list(members))
-        self.ensure_tables()
-        return tree
+        return self._inner.build(list(members))
 
-    def ensure_tables(self) -> None:
-        """Precompute (and garbage-collect) the per-member route tables.
+    def ensure_tables(self, members, failures: FailureSet | None = None) -> None:
+        """Build the route state ``members`` need, at first need.
 
-        Tables depend only on the topology and member set — never on
-        the tree shape — so repairs don't invalidate them.
+        Each member gets its table (its failure-free primary toward the
+        source); within it, only the alternate for the primary link
+        ``failures`` hit is computed, or every alternate when
+        ``failures`` is ``None`` (the standing state).  Tables depend
+        only on the topology and the member — never on the tree shape —
+        so repairs don't invalidate them.
         """
-        members = self.tree.members
-        for stale in [m for m in self._tables if m not in members]:
-            del self._tables[stale]
-        for member in sorted(members):
-            if member == self.source or member in self._tables:
+        for member in members:
+            if member == self.source:
                 continue
-            table = build_alternate_table(
-                self.topology,
-                member,
-                self.source,
-                route_cache=self.route_cache,
-                obs=self.obs,
-            )
-            if table is not None:
-                self._tables[member] = table
+            if member not in self._tables:
+                self._tables[member] = build_alternate_table(
+                    self.topology,
+                    member,
+                    self.source,
+                    route_cache=self.route_cache,
+                    obs=self.obs,
+                )
+            table = self._tables[member]
+            if table is None:
+                continue
+            if failures is None:
+                links = table.primary_links()
+            else:
+                hit = table.hit_link(failures)
+                links = [] if hit is None else [hit]
+            for link in links:
+                table.alternate(link)
 
     def plan_repair(self, failures: FailureSet) -> TreeRepairReport:
         """The repair this engine would perform, without mutating it."""
@@ -420,20 +444,13 @@ class AlternatePathProtocol:
             raise UnrecoverableFailureError(
                 self.source, "the source itself has failed"
             )
-        self.ensure_tables()
         tree = self.tree
         repaired = surviving_subtree(tree, failures)
         report = TreeRepairReport(repaired_tree=repaired, strategy="alternate")
-        report.unrecoverable.extend(
-            m
-            for m in tree.disconnected_members(failures)
-            if failures.node_failed(m)
-        )
-        pending = [
-            m
-            for m in tree.disconnected_members(failures)
-            if not failures.node_failed(m)
-        ]
+        cut = tree.disconnected_members(failures)
+        report.unrecoverable.extend(m for m in cut if failures.node_failed(m))
+        pending = [m for m in cut if not failures.node_failed(m)]
+        self.ensure_tables(pending, failures)
         for member in pending:
             surviving = set(repaired.on_tree_nodes())
             if member in surviving:
@@ -443,7 +460,7 @@ class AlternatePathProtocol:
                     _already_connected(repaired, member, "alternate")
                 )
                 continue
-            table = self._tables.get(member)
+            table = self._tables[member]
             route = table.route_under(failures) if table is not None else None
             if route is not None:
                 self.obs.counter("protection.alternate.hits").inc()
@@ -491,11 +508,17 @@ class AlternatePathProtocol:
     # Accounting
     # ------------------------------------------------------------------
     def standing_links(self) -> set[Edge]:
-        """Links the alternate routes reserve beyond the working tree."""
-        self.ensure_tables()
+        """Links the alternate routes reserve beyond the working tree.
+
+        Builds every member's table and alternates not built yet.
+        """
+        members = sorted(self.tree.members)
+        self.ensure_tables(members)
         reserved: set[Edge] = set()
-        for table in self._tables.values():
-            reserved |= table.reserved_links()
+        for member in members:
+            table = self._tables.get(member)
+            if table is not None:
+                reserved |= table.reserved_links()
         return reserved - self.tree.tree_links()
 
     def standing_cost(self) -> float:

@@ -42,6 +42,9 @@ METRIC_NAMES: frozenset[str] = frozenset({
     "exec.retries",
     "exec.scenarios",
     "exec.worker_reports_merged",
+    # Protection state is built at first need, so backups_built and
+    # alternate.tables/routes count what failures (or standing-state
+    # accounting) actually asked for, not what a tree change could need.
     "protection.alternate.hits",
     "protection.alternate.misses",
     "protection.alternate.routes",

@@ -24,6 +24,7 @@ This module provides:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 from repro.errors import ConfigurationError, TopologyError
 from repro.graph.topology import Edge, NodeId, Topology, edge_key
@@ -103,6 +104,10 @@ class ConvergenceModel:
     per_hop_processing: float = 0.5
     spf_compute_time: float = 1.0
 
+    #: The last :meth:`convergence_times` answer, as
+    #: ``((model, topology cache token, failures), times)``.
+    _last_answer: ClassVar[tuple[tuple, dict[NodeId, float]] | None] = None
+
     def __post_init__(self) -> None:
         for name in (
             "detection_delay",
@@ -125,7 +130,23 @@ class ConvergenceModel:
         never learn of the failure; they are reported with the detection
         delay only (their tables never change, so they are trivially
         "converged").
+
+        Every member of every group restored after one failure asks the
+        same question, so the last answer is kept, keyed on the model,
+        the topology state and the failures.  Callers treat the returned
+        dict as read-only.
         """
+        key = (self, topology.cache_token(), failures)
+        last = ConvergenceModel._last_answer
+        if last is not None and last[0] == key:
+            return last[1]
+        times = self._flood_times(topology, failures)
+        ConvergenceModel._last_answer = (key, times)
+        return times
+
+    def _flood_times(
+        self, topology: Topology, failures: FailureSet
+    ) -> dict[NodeId, float]:
         origins = self._advertising_routers(topology, failures)
         times: dict[NodeId, float] = {}
         survivors = [

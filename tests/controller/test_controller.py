@@ -231,8 +231,7 @@ class TestProtectionEngines:
         )
         gid = controller.open_group(0, members=[9, 17, 28, 35, 42])
         engine = controller._groups[gid].engine
-        engine.backups.ensure(engine.tree)  # open_group joins lazily
-        link = engine.backups.links()[0]
+        link = engine.backups.links(engine.tree)[0]
         controller.fail(FailureSet.links(link))
         dispatch = controller.restore()
         assert dispatch.rows

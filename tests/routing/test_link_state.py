@@ -3,6 +3,7 @@
 import pytest
 
 from repro.errors import ConfigurationError, TopologyError
+from repro.routing import link_state
 from repro.routing.failure_view import NO_FAILURES, FailureSet
 from repro.routing.link_state import (
     ConvergenceModel,
@@ -90,6 +91,62 @@ class TestConvergenceModel:
         failure = FailureSet.links(tuple(waxman50.links()[0].key))
         times = model.convergence_times(waxman50, failure)
         assert max(times.values()) > 30.0
+
+
+class TestConvergenceMemo:
+    """The last ``convergence_times`` answer is reused only for the same
+    model, the same topology state and the same failures."""
+
+    @pytest.fixture
+    def spf_runs(self, monkeypatch):
+        runs = []
+        original = link_state.dijkstra
+
+        def counting(*args, **kwargs):
+            runs.append(args[1])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(link_state, "dijkstra", counting)
+        return runs
+
+    def test_memo_equals_a_fresh_computation(self, waxman50, spf_runs):
+        model = ConvergenceModel()
+        failure = FailureSet.links(tuple(waxman50.links()[0].key))
+        first = model.convergence_times(waxman50, failure)
+        runs = len(spf_runs)
+        assert runs > 0
+        # An equal model asking the same question hits the memo.
+        again = ConvergenceModel().convergence_times(waxman50, failure)
+        assert again is first
+        assert len(spf_runs) == runs
+        assert first == model._flood_times(waxman50, failure)
+
+    def test_other_failures_or_model_recompute(self, waxman50, spf_runs):
+        model = ConvergenceModel()
+        links = waxman50.links()
+        one = FailureSet.links(tuple(links[0].key))
+        other = FailureSet.links(tuple(links[1].key))
+        first = model.convergence_times(waxman50, one)
+        runs = len(spf_runs)
+        second = model.convergence_times(waxman50, other)
+        assert len(spf_runs) > runs
+        assert second == model._flood_times(waxman50, other)
+        slower = ConvergenceModel(detection_delay=60.0)
+        runs = len(spf_runs)
+        assert slower.convergence_times(waxman50, other) != second
+        assert len(spf_runs) > runs
+        assert model.convergence_times(waxman50, one) == first
+
+    def test_mutated_topology_recomputes(self, fig1, spf_runs):
+        model = ConvergenceModel()
+        failure = FailureSet.links((0, 1))
+        before = model.convergence_times(fig1, failure)
+        runs = len(spf_runs)
+        fig1.remove_link(2, 4)
+        after = model.convergence_times(fig1, failure)
+        assert len(spf_runs) > runs
+        assert after == model._flood_times(fig1, failure)
+        assert after != before
 
 
 class TestFlooding:
