@@ -65,8 +65,7 @@ def main(seed: int = 11) -> None:
                   f"({failure.describe()}): {len(affected)} participants cut off")
             report = repair_tree(network, proto.tree, failure, strategy="local")
             proto.tree = report.repaired_tree
-            proto.state.tree = report.repaired_tree
-            proto.state.rebuild()
+            proto.state.rebind(report.repaired_tree)
             print(f"          local recovery re-attached "
                   f"{len(report.recoveries)} participants "
                   f"(total new-path distance "

@@ -196,8 +196,7 @@ class NLevelMulticast:
                 route_obs=route_obs,
             )
             protocol.tree = repair.repaired_tree
-            protocol.state.tree = repair.repaired_tree
-            protocol.state.rebuild()
+            protocol.state.rebind(repair.repaired_tree)
             report.domains_reconfigured.append(domain_id)
             report.repairs[domain_id] = repair
             report.scope_nodes += self._graphs[domain_id].num_nodes

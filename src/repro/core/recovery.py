@@ -575,25 +575,8 @@ def _surviving_subtree(tree: MulticastTree, failures: FailureSet) -> MulticastTr
         if member in surviving:
             rebuilt.add_member(member)
     # Trim surviving relays whose entire subtree was detached.
-    _trim_dead_leaves(rebuilt)
+    rebuilt.trim_dead_branches()
     return rebuilt
-
-
-def _trim_dead_leaves(tree: MulticastTree) -> None:
-    """Remove relay leaves left behind after a partition copy."""
-    changed = True
-    while changed:
-        changed = False
-        for node in tree.on_tree_nodes():
-            if node == tree.source:
-                continue
-            if not tree.children(node) and not tree.is_member(node):
-                parent = tree.parent(node)
-                assert parent is not None
-                tree._children[parent].discard(node)  # noqa: SLF001
-                del tree._parent[node]  # noqa: SLF001
-                del tree._children[node]  # noqa: SLF001
-                changed = True
 
 
 def _already_connected(

@@ -17,9 +17,14 @@ Equation (2):
 
     SHR_{S,R} = SHR_{S,R_u} + N_R
 
-Both forms are implemented; a property test asserts they agree on
-arbitrary trees (this is exactly the identity the distributed protocol
-relies on to maintain SHR with only neighbor message exchange).
+Both forms are implemented over the ``N_R`` counts the tree maintains
+(:meth:`~repro.multicast.tree.MulticastTree.subtree_member_count`), so
+neither walks the tree bottom-up: Eq. (1) sums counts along one path and
+Eq. (2) is one top-down pass.  Property tests check both, and the
+maintained counts themselves, against the whole-tree walks kept in
+``tests/core/shr_reference.py`` (this agreement is exactly the identity
+the distributed protocol relies on to maintain SHR with only neighbor
+message exchange).
 """
 
 from __future__ import annotations
@@ -51,33 +56,23 @@ def shr_incremental(tree: MulticastTree) -> dict[NodeId, int]:
     of the distributed protocol (each node learns ``SHR_{S,R_u}`` from its
     parent and adds its locally known ``N_R``).
     """
+    counts = tree.member_counts()
+    children = tree.children_map()
     shr: dict[NodeId, int] = {tree.source: 0}
-    # Pre-compute subtree member counts bottom-up in one pass instead of
-    # calling subtree_member_count per node (which would be quadratic).
-    counts = subtree_member_counts(tree)
     stack = [tree.source]
+    push = stack.append
     while stack:
         node = stack.pop()
-        for child in tree.children(node):
-            shr[child] = shr[node] + counts[child]
-            stack.append(child)
+        above = shr[node]
+        for child in children[node]:
+            shr[child] = above + counts[child]
+            push(child)
     return shr
 
 
 def subtree_member_counts(tree: MulticastTree) -> dict[NodeId, int]:
-    """``N_R`` for every on-tree node, computed bottom-up in linear time."""
-    counts: dict[NodeId, int] = {}
-    order: list[NodeId] = []
-    stack = [tree.source]
-    while stack:
-        node = stack.pop()
-        order.append(node)
-        stack.extend(tree.children(node))
-    for node in reversed(order):
-        counts[node] = (1 if tree.is_member(node) else 0) + sum(
-            counts[child] for child in tree.children(node)
-        )
-    return counts
+    """``N_R`` for every on-tree node (the counts the tree maintains)."""
+    return tree.member_counts()
 
 
 def shr_table(tree: MulticastTree) -> dict[NodeId, int]:
@@ -87,7 +82,7 @@ def shr_table(tree: MulticastTree) -> dict[NodeId, int]:
 
 def link_utilisation(tree: MulticastTree) -> dict[tuple[NodeId, NodeId], int]:
     """``N_L`` for every tree link (canonical edge → member count below it)."""
-    counts_by_node = subtree_member_counts(tree)
+    counts_by_node = tree.member_counts()
     utilisation = {}
     for node in tree.on_tree_nodes():
         parent = tree.parent(node)
@@ -117,20 +112,21 @@ def adjusted_shr_table(tree: MulticastTree, mover: NodeId) -> dict[NodeId, int]:
     """
     if not tree.is_on_tree(mover):
         raise NotOnTreeError(mover)
-    counts = subtree_member_counts(tree)
+    counts = tree.member_counts()
     moving_members = counts[mover]
     mover_path = set(tree.path_from_source(mover)[1:])  # exclude S
+    children = tree.children_map()
     adjusted: dict[NodeId, int] = {tree.source: 0}
-    shr: dict[NodeId, int] = {tree.source: 0}
-    overlap: dict[NodeId, int] = {tree.source: 0}
-    stack = [tree.source]
+    # Depth-first, carrying each node's SHR and overlap on the stack.
+    stack = [(tree.source, 0, 0)]
+    push = stack.append
     while stack:
-        node = stack.pop()
-        for child in tree.children(node):
-            shr[child] = shr[node] + counts[child]
-            overlap[child] = overlap[node] + (1 if child in mover_path else 0)
-            adjusted[child] = shr[child] - moving_members * overlap[child]
-            stack.append(child)
+        node, shr, overlap = stack.pop()
+        for child in children[node]:
+            child_shr = shr + counts[child]
+            child_overlap = overlap + (1 if child in mover_path else 0)
+            adjusted[child] = child_shr - moving_members * child_overlap
+            push((child, child_shr, child_overlap))
     return adjusted
 
 

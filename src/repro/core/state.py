@@ -2,17 +2,30 @@
 
 Each on-tree node ``R`` maintains:
 
-- ``N_R`` — members in the subtree rooted at ``R`` (kept implicitly as the
-  sum of the per-interface counts),
+- ``N_R`` — members in the subtree rooted at ``R``,
 - ``N_R^i`` — members reachable through each downstream interface,
 - ``SHR_{S,R}`` — learned incrementally from the upstream node via Eq. (2),
 - ``SHR^{old}_{S,R_u}`` — the upstream SHR recorded at the last reshape,
   used by reshaping Condition I.
 
-The :class:`StateManager` maintains this state for every on-tree node and
-*accounts for the control messages* the distributed protocol would spend
-keeping it consistent.  Two maintenance modes implement the design choice
-discussed in §3.3.2:
+``N_R`` (and with it every ``N_R^i``) lives on the tree:
+:class:`~repro.multicast.tree.MulticastTree` updates it along the path
+each mutation changes — the hops a ``Join_Req`` or ``Leave_Req`` update
+travels.  The :class:`StateManager` keeps the rest:
+
+- one SHR table, refreshed after a change by a single top-down Eq. (2)
+  pass over the tree's counts, the first time a query needs it;
+- one Condition-I baseline map.  It is written for the nodes a change
+  created or re-parented, which start from their new upstream's SHR (the
+  value the ``Join_Ack`` carries down the new branch), and for nodes that
+  ran a reshape.  A node's entry leaves with the node.
+
+:meth:`StateManager.state_of` assembles one node's
+:class:`SmrpNodeState` from these on demand.
+
+The manager also *accounts for the control messages* the distributed
+protocol would spend keeping the state consistent.  Two maintenance modes
+implement the design choice discussed in §3.3.2:
 
 ``eager``
     Every membership change immediately propagates: ``N`` updates travel
@@ -26,10 +39,11 @@ discussed in §3.3.2:
     path from the queried node to the source ("the maintenance overhead is
     amortized into each member's join process").
 
-Both modes always *answer* queries with values consistent with the current
-tree (the deferred mode recomputes on demand), so protocol behaviour is
-identical — only the message accounting differs.  The overhead ablation
-bench compares the two counters.
+The two modes differ only in this accounting.  Both answer every query
+with values consistent with the current tree and record the same
+baselines, so the trees they build and the reshapes they run are
+identical — a regression test runs one workload in both modes and compares
+them.  The overhead ablation bench compares the two counters.
 """
 
 from __future__ import annotations
@@ -40,7 +54,7 @@ from repro.errors import NotOnTreeError, ConfigurationError
 from repro.graph.topology import NodeId
 from repro.multicast.tree import MulticastTree
 from repro.obs import NULL_OBS, Observability
-from repro.core.shr import shr_incremental, subtree_member_counts
+from repro.core.shr import shr_incremental
 
 
 @dataclass
@@ -57,7 +71,7 @@ class SmrpNodeState:
     def consistent(self) -> bool:
         """``N_R`` must equal the sum of interface counts plus self-membership.
 
-        The self-membership term is folded into ``n_r`` by the manager, so
+        The self-membership term is folded into ``n_r`` by the tree, so
         here we only check it is never below the interface sum.
         """
         return self.n_r >= sum(self.n_per_interface.values())
@@ -83,7 +97,8 @@ class StateManager:
     ----------
     tree:
         The tree whose state is being maintained.  The manager reads the
-        tree but never mutates it.
+        tree but never mutates it; callers mutate it and then notify the
+        manager (``notify_graft``/``notify_prune``/``notify_move``).
     mode:
         ``"eager"`` or ``"deferred"`` (see module docstring).
     """
@@ -96,59 +111,42 @@ class StateManager:
     ) -> None:
         if mode not in ("eager", "deferred"):
             raise ConfigurationError(f"unknown state mode {mode!r}")
-        self.tree = tree
         self.mode = mode
         self.counters = MessageCounters()
         obs = obs if obs is not None else NULL_OBS
         self._c_n_updates = obs.counter("smrp.state.n_updates")
         self._c_shr_pushes = obs.counter("smrp.state.shr_pushes")
         self._c_shr_pulls = obs.counter("smrp.state.shr_pulls")
-        self.states: dict[NodeId, SmrpNodeState] = {}
-        self._shr_dirty = True
-        self.rebuild()
-
-    # ------------------------------------------------------------------
-    # Bulk (re)construction
-    # ------------------------------------------------------------------
-    def rebuild(self) -> None:
-        """Recompute every node's state from the tree (no message charge).
-
-        Used at initialisation and after operations whose message cost is
-        charged separately (graft/prune/move notifications).
-        """
-        counts = subtree_member_counts(self.tree)
-        shr = shr_incremental(self.tree)
-        old = self.states
-        self.states = {}
-        for node in self.tree.on_tree_nodes():
-            upstream = self.tree.parent(node)
-            state = SmrpNodeState(
-                node=node,
-                upstream=upstream,
-                n_r=counts[node],
-                n_per_interface={
-                    child: counts[child] for child in self.tree.children(node)
-                },
-                shr=shr[node],
-            )
-            # Preserve the Condition-I baseline across rebuilds.
-            if node in old and old[node].upstream == upstream:
-                state.shr_old_upstream = old[node].shr_old_upstream
-            elif upstream is not None:
-                state.shr_old_upstream = shr[upstream]
-            self.states[node] = state
+        # SHR of every on-tree node; None once a change made it stale.
+        self._shr: dict[NodeId, int] | None = None
+        # node -> (upstream when recorded, SHR^old_{S,R_u}).
+        self._baseline: dict[NodeId, tuple[NodeId, int]] = {}
+        # Deferred mode only: a change happened, the next query pulls.
         self._shr_dirty = False
+        self.rebind(tree)
 
     def rebind(self, tree: MulticastTree) -> None:
         """Re-anchor the manager to a replacement tree (session repair).
 
-        Cumulative message counters and surviving nodes' Condition-I
-        baselines carry over; the rebuild itself carries no message
-        charge — restoration signaling is accounted by the recovery path
-        that produced the replacement tree.
+        Cumulative message counters carry over, and so does the
+        Condition-I baseline of every node that kept its upstream; other
+        nodes start from their new upstream's SHR.  The rebind itself
+        carries no message charge — restoration signaling is accounted by
+        the recovery path that produced the replacement tree.
         """
         self.tree = tree
-        self.rebuild()
+        self._shr = None
+        self._shr_dirty = False
+        shr = self._table()
+        baseline = self._baseline
+        for node in shr:
+            upstream = tree.parent(node)
+            if upstream is None:
+                continue
+            entry = baseline.get(node)
+            if entry is None or entry[0] != upstream:
+                baseline[node] = (upstream, shr[upstream])
+        self._forget_departed()
 
     # ------------------------------------------------------------------
     # Event notifications (message accounting)
@@ -162,32 +160,13 @@ class StateManager:
         subtree whose SHR changed (every node below any ancestor of the
         merge node).
         """
-        merge = graft_path[0]
-        depth = len(self.tree.path_from_source(merge)) - 1
-        self.counters.n_updates += depth
-        self._c_n_updates.inc(depth)
-        if self.mode == "eager":
-            pushed = self._changed_subtree_size(merge)
-            self.counters.shr_pushes += pushed
-            self._c_shr_pushes.inc(pushed)
-            self.rebuild()
-        else:
-            self._shr_dirty = True
-            self._rebuild_counts_only()
+        self._charge(graft_path[0], 1)
+        self._after_change(graft_path[-1])
 
     def notify_prune(self, pruned_from: NodeId) -> None:
         """Account for a leave whose ``Leave_Req`` stopped at ``pruned_from``."""
-        depth = len(self.tree.path_from_source(pruned_from)) - 1
-        self.counters.n_updates += depth
-        self._c_n_updates.inc(depth)
-        if self.mode == "eager":
-            pushed = self._changed_subtree_size(pruned_from)
-            self.counters.shr_pushes += pushed
-            self._c_shr_pushes.inc(pushed)
-            self.rebuild()
-        else:
-            self._shr_dirty = True
-            self._rebuild_counts_only()
+        self._charge(pruned_from, 1)
+        self._after_change(None)
 
     def notify_move(self, mover: NodeId) -> None:
         """Account for a reshape/recovery path switch at ``mover``.
@@ -197,43 +176,44 @@ class StateManager:
         so callers invoke this after mutating the tree.
         """
         parent = self.tree.parent(mover)
-        anchor = parent if parent is not None else mover
-        depth = len(self.tree.path_from_source(anchor)) - 1
-        self.counters.n_updates += 2 * depth
-        self._c_n_updates.inc(2 * depth)
-        if self.mode == "eager":
-            pushed = self._changed_subtree_size(anchor)
-            self.counters.shr_pushes += pushed
-            self._c_shr_pushes.inc(pushed)
-            self.rebuild()
-        else:
-            self._shr_dirty = True
-            self._rebuild_counts_only()
+        self._charge(parent if parent is not None else mover, 2)
+        self._after_change(mover)
 
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
     def state_of(self, node: NodeId) -> SmrpNodeState:
-        try:
-            return self.states[node]
-        except KeyError:
-            raise NotOnTreeError(node) from None
+        """``node``'s state block, assembled on demand.
+
+        An introspection view: it charges no messages, and writing to it
+        changes nothing (use :meth:`record_reshape_baseline`).
+        """
+        tree = self.tree
+        if node not in tree:
+            raise NotOnTreeError(node)
+        entry = self._baseline.get(node)
+        return SmrpNodeState(
+            node=node,
+            upstream=tree.parent(node),
+            n_r=tree.subtree_member_count(node),
+            n_per_interface=tree.downstream_interface_counts(node),
+            shr=self._table()[node],
+            shr_old_upstream=entry[1] if entry is not None else 0,
+        )
 
     def shr(self, node: NodeId) -> int:
-        """``SHR_{S,node}``, recomputing lazily in deferred mode.
+        """``SHR_{S,node}``; in deferred mode the first query after a
+        change pays for the recomputation.
 
-        In deferred mode the recomputation walks the path from the source
-        to the node, one pull message per hop (§3.3.2).
+        That recomputation walks the path from the source to the node,
+        one pull message per hop (§3.3.2).
         """
-        if node not in self.states:
+        table = self._table()
+        if node not in table:
             raise NotOnTreeError(node)
         if self._shr_dirty:
-            if self.mode == "deferred":
-                pulled = len(self.tree.path_from_source(node)) - 1
-                self.counters.shr_pulls += pulled
-                self._c_shr_pulls.inc(pulled)
-            self._refresh_shr()
-        return self.states[node].shr
+            self._pull(len(self.tree.path_from_source(node)) - 1)
+        return table[node]
 
     def shr_snapshot(self) -> dict[NodeId, int]:
         """All SHR values (forces a refresh in deferred mode).
@@ -242,65 +222,78 @@ class StateManager:
         every node at once.
         """
         if self._shr_dirty:
-            if self.mode == "deferred":
-                pulled = max(len(self.states) - 1, 0)
-                self.counters.shr_pulls += pulled
-                self._c_shr_pulls.inc(pulled)
-            self._refresh_shr()
-        return {node: st.shr for node, st in self.states.items()}
+            self._pull(max(len(self.tree) - 1, 0))
+        return dict(self._table())
 
     def record_reshape_baseline(self, node: NodeId) -> None:
         """Store ``SHR^{old}_{S,R_u}`` at ``node`` after a reshape decision."""
-        state = self.state_of(node)
-        if state.upstream is not None:
-            state.shr_old_upstream = self.shr(state.upstream)
+        upstream = self.tree.parent(node)
+        if upstream is not None:
+            self._baseline[node] = (upstream, self.shr(upstream))
 
     def condition_i_delta(self, node: NodeId) -> int:
         """``SHR_{S,R_u} − SHR^{old}_{S,R_u}`` as seen by ``node``."""
-        state = self.state_of(node)
-        if state.upstream is None:
+        upstream = self.tree.parent(node)
+        if upstream is None:
             return 0
-        return self.shr(state.upstream) - state.shr_old_upstream
+        return self.shr(upstream) - self._baseline[node][1]
 
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-    def _refresh_shr(self) -> None:
-        shr = shr_incremental(self.tree)
-        for node, value in shr.items():
-            if node in self.states:
-                self.states[node].shr = value
+    def _table(self) -> dict[NodeId, int]:
+        if self._shr is None:
+            self._shr = shr_incremental(self.tree)
+        return self._shr
+
+    def _pull(self, pulled: int) -> None:
+        self.counters.shr_pulls += pulled
+        self._c_shr_pulls.inc(pulled)
         self._shr_dirty = False
 
-    def _rebuild_counts_only(self) -> None:
-        """Synchronise node set and N counters without touching SHR."""
-        counts = subtree_member_counts(self.tree)
-        old = self.states
-        self.states = {}
-        for node in self.tree.on_tree_nodes():
-            upstream = self.tree.parent(node)
-            previous = old.get(node)
-            state = SmrpNodeState(
-                node=node,
-                upstream=upstream,
-                n_r=counts[node],
-                n_per_interface={
-                    child: counts[child] for child in self.tree.children(node)
-                },
-                shr=previous.shr if previous else 0,
-            )
-            if previous is not None and previous.upstream == upstream:
-                state.shr_old_upstream = previous.shr_old_upstream
-            self.states[node] = state
-
-    def _changed_subtree_size(self, anchor: NodeId) -> int:
-        """Nodes whose SHR changes when ``N`` changed on the path S→anchor.
-
-        Every node whose path shares a link with ``S → anchor`` sees a new
-        SHR: that is the union of subtrees rooted at each node on that
-        path.  Equals the subtree of the first path node below S.
+    def _charge(self, anchor: NodeId, passes: int) -> None:
+        """Charge ``N`` updates from ``anchor`` to the source (``passes``
+        times), plus the eager mode's push into every node whose SHR
+        changed: the subtree of the first node below S on that path.
         """
         path = self.tree.path_from_source(anchor)
-        if len(path) < 2:
-            return 0
-        return len(self.tree.subtree_nodes(path[1]))
+        depth = len(path) - 1
+        self.counters.n_updates += passes * depth
+        self._c_n_updates.inc(passes * depth)
+        if self.mode == "eager":
+            pushed = self.tree.subtree_size(path[1]) if depth else 0
+            self.counters.shr_pushes += pushed
+            self._c_shr_pushes.inc(pushed)
+        else:
+            self._shr_dirty = True
+
+    def _after_change(self, attached: NodeId | None) -> None:
+        """Catch up with a tree change; ``attached`` is the lowest node a
+        graft or move hung onto the tree (None for a prune).
+
+        The walk from ``attached`` toward the source resets the baseline
+        of each node the change created or re-parented, and stops at the
+        first node whose recorded upstream still holds.
+        """
+        self._shr = None
+        tree = self.tree
+        baseline = self._baseline
+        node = attached
+        while node is not None:
+            upstream = tree.parent(node)
+            if upstream is None:
+                break
+            entry = baseline.get(node)
+            if entry is not None and entry[0] == upstream:
+                break
+            baseline[node] = (upstream, self._table()[upstream])
+            node = upstream
+        self._forget_departed()
+
+    def _forget_departed(self) -> None:
+        """Drop the baselines of nodes that left the tree."""
+        baseline = self._baseline
+        on_tree = self.tree.children_map()
+        if len(baseline) >= len(on_tree):  # the source never has one
+            for node in [n for n in baseline if n not in on_tree]:
+                del baseline[node]

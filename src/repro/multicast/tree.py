@@ -14,18 +14,31 @@ built from:
 - ``move_subtree(node, path)`` — re-hang a node (with its entire subtree)
   onto a new attachment path (tree reshaping, §3.2.3, and failure
   recovery, §4.3.1),
+- ``trim_dead_branches()`` — drop every relay left serving no member
+  (the partition copy restoration starts from),
 - queries used by the SHR metric and the evaluation metrics: on-tree
   paths, subtree member counts, link/cost/delay aggregates, and the
   partition induced by a failure.
 
+Every mutator keeps three derived structures current as it goes:
+``N_R``, the member count of each node's subtree (§3.2.1); the node
+count of each subtree; and each node's children as a sorted tuple.  A
+change touches the counts only along the path it alters — one walk
+toward the source, the hops a ``Join_Req`` or ``Leave_Req`` travels — so
+the SHR metric (:mod:`repro.core.shr`) and the state manager's message
+accounting read counts instead of re-deriving them with a tree walk.
+
 All mutators validate their inputs against the topology and the current
 tree, and the structure can always be re-checked with
-:func:`repro.multicast.validation.check_tree_invariants`.
+:func:`repro.multicast.validation.check_tree_invariants`, which also
+compares the maintained counts and child order against a fresh walk.
 """
 
 from __future__ import annotations
 
-from typing import Iterable
+from bisect import bisect_left
+from types import MappingProxyType
+from typing import Mapping
 
 from repro.errors import MulticastError, NotOnTreeError, TopologyError
 from repro.graph.topology import Edge, NodeId, Topology, edge_key
@@ -50,7 +63,11 @@ class MulticastTree:
         self.topology = topology
         self.source = source
         self._parent: dict[NodeId, NodeId | None] = {source: None}
-        self._children: dict[NodeId, set[NodeId]] = {source: set()}
+        # Children sorted ascending; N_R per node (members in its subtree);
+        # on-tree nodes per subtree, the node itself included.
+        self._children: dict[NodeId, tuple[NodeId, ...]] = {source: ()}
+        self._count: dict[NodeId, int] = {source: 0}
+        self._size: dict[NodeId, int] = {source: 1}
         self._members: set[NodeId] = set()
 
     # ------------------------------------------------------------------
@@ -78,12 +95,20 @@ class MulticastTree:
         except KeyError:
             raise NotOnTreeError(node) from None
 
-    def children(self, node: NodeId) -> list[NodeId]:
+    def children(self, node: NodeId) -> tuple[NodeId, ...]:
         """Downstream neighbors of ``node``, sorted."""
         try:
-            return sorted(self._children[node])
+            return self._children[node]
         except KeyError:
             raise NotOnTreeError(node) from None
+
+    def children_map(self) -> Mapping[NodeId, tuple[NodeId, ...]]:
+        """Every on-tree node's sorted children, as a read-only live view.
+
+        For whole-tree passes (the SHR tables of :mod:`repro.core.shr`),
+        which would otherwise pay a :meth:`children` call per node.
+        """
+        return MappingProxyType(self._children)
 
     def tree_links(self) -> set[Edge]:
         """All links of the tree, as canonical edges."""
@@ -157,13 +182,26 @@ class MulticastTree:
 
     def subtree_member_count(self, node: NodeId) -> int:
         """``N_R``: members in the subtree rooted at ``node`` (paper §3.2.1)."""
-        return sum(1 for n in self.subtree_nodes(node) if n in self._members)
+        try:
+            return self._count[node]
+        except KeyError:
+            raise NotOnTreeError(node) from None
+
+    def subtree_size(self, node: NodeId) -> int:
+        """On-tree nodes in the subtree rooted at ``node`` (inclusive):
+        ``len(subtree_nodes(node))`` without the walk."""
+        try:
+            return self._size[node]
+        except KeyError:
+            raise NotOnTreeError(node) from None
+
+    def member_counts(self) -> dict[NodeId, int]:
+        """``N_R`` for every on-tree node (a copy of the maintained counts)."""
+        return dict(self._count)
 
     def downstream_interface_counts(self, node: NodeId) -> dict[NodeId, int]:
         """``N_R^i`` per downstream interface ``i`` (keyed by child node)."""
-        return {
-            child: self.subtree_member_count(child) for child in self.children(node)
-        }
+        return {child: self._count[child] for child in self.children(node)}
 
     # ------------------------------------------------------------------
     # Mutation
@@ -172,7 +210,9 @@ class MulticastTree:
         """Mark an already-on-tree node as a receiver."""
         if node not in self._parent:
             raise NotOnTreeError(node)
-        self._members.add(node)
+        if node not in self._members:
+            self._members.add(node)
+            self._shift(self._count, node, 1)
 
     def graft(self, path: list[NodeId], member: bool = True) -> None:
         """Splice a branch onto the tree.
@@ -186,11 +226,6 @@ class MulticastTree:
         merge = path[0]
         if merge not in self._parent:
             raise NotOnTreeError(merge)
-        if len(path) == 1:
-            # Joining node is already on the tree: it just becomes a member.
-            if member:
-                self._members.add(merge)
-            return
         for node in path[1:]:
             if node in self._parent:
                 raise MulticastError(
@@ -202,12 +237,15 @@ class MulticastTree:
         for u, v in zip(path, path[1:]):
             if not self.topology.has_link(u, v):
                 raise TopologyError(f"graft path uses missing link {edge_key(u, v)}")
-        for u, v in zip(path, path[1:]):
-            self._parent[v] = u
-            self._children[v] = set()
-            self._children[u].add(v)
+        added = len(path) - 1
+        for below, (u, v) in enumerate(zip(path, path[1:])):
+            self._children[v] = ()
+            self._count[v] = 0
+            self._size[v] = added - below
+            self._attach(u, v)
+        self._shift(self._size, merge, added)
         if member:
-            self._members.add(path[-1])
+            self.add_member(path[-1])
 
     def prune(self, member: NodeId) -> list[NodeId]:
         """Remove a member; trim any branch that served only this member.
@@ -221,21 +259,8 @@ class MulticastTree:
         if member not in self._members:
             raise MulticastError(f"node {member} is not a member")
         self._members.discard(member)
-        removed: list[NodeId] = []
-        cursor = member
-        while (
-            cursor != self.source
-            and not self._children[cursor]
-            and cursor not in self._members
-        ):
-            parent = self._parent[cursor]
-            assert parent is not None
-            self._children[parent].discard(cursor)
-            del self._parent[cursor]
-            del self._children[cursor]
-            removed.append(cursor)
-            cursor = parent
-        return removed
+        self._shift(self._count, member, -1)
+        return self._release_dead_branch(member)
 
     def move_subtree(self, node: NodeId, new_path: list[NodeId]) -> None:
         """Re-hang ``node`` (and its whole subtree) via ``new_path``.
@@ -256,12 +281,14 @@ class MulticastTree:
         merge = new_path[0]
         if merge not in self._parent:
             raise NotOnTreeError(merge)
-        subtree = self.subtree_nodes(node)
-        if merge in subtree:
-            raise MulticastError(
-                f"merge node {merge} lies inside the subtree of {node}; "
-                "moving there would create a cycle"
-            )
+        cursor: NodeId | None = merge
+        while cursor is not None:
+            if cursor == node:
+                raise MulticastError(
+                    f"merge node {merge} lies inside the subtree of {node}; "
+                    "moving there would create a cycle"
+                )
+            cursor = self._parent[cursor]
         for middle in new_path[1:-1]:
             if middle in self._parent:
                 raise MulticastError(
@@ -277,31 +304,88 @@ class MulticastTree:
         # along the new path, and only then release the dead upstream
         # branch — the merge node may itself sit on the old branch (e.g.
         # re-attaching under the same parent), so pruning must come last.
-        old_parent = self._parent[node]
-        assert old_parent is not None
-        self._children[old_parent].discard(node)
+        moving = self._count[node]
+        moving_size = self._size[node]
+        old_parent = self._unlink(node)
+        self._shift(self._count, old_parent, -moving)
+        self._shift(self._size, old_parent, -moving_size)
+        fresh = len(new_path) - 2
+        for below, (u, v) in enumerate(zip(new_path, new_path[1:])):
+            if v != node:
+                self._children[v] = ()
+                self._count[v] = 0
+                self._size[v] = moving_size + fresh - below
+            self._attach(u, v)
+        self._shift(self._count, new_path[-2], moving)
+        self._shift(self._size, merge, moving_size + fresh)
+        self._release_dead_branch(old_parent)
 
-        for u, v in zip(new_path, new_path[1:]):
-            if v == node:
-                self._parent[node] = u
-                self._children[u].add(node)
-            else:
-                self._parent[v] = u
-                self._children[v] = set()
-                self._children[u].add(v)
+    def trim_dead_branches(self) -> None:
+        """Remove every relay whose subtree serves no member.
 
-        cursor = old_parent
+        The fixpoint of repeatedly deleting non-member leaves: exactly the
+        non-source nodes with ``N_R = 0``.  Restoration applies it to the
+        partition copy of a failed tree, where whole branches lost their
+        members at once.
+        """
+        dead = [
+            node
+            for node, count in self._count.items()
+            if count == 0 and node != self.source
+        ]
+        for node in dead:
+            parent = self._parent[node]
+            if parent == self.source or self._count[parent] != 0:
+                self._unlink(node)  # the topmost dead node of its branch
+                self._shift(self._size, parent, -self._size[node])
+        for node in dead:
+            del self._parent[node]
+            del self._children[node]
+            del self._count[node]
+            del self._size[node]
+
+    def _attach(self, parent: NodeId, child: NodeId) -> None:
+        kids = self._children[parent]
+        at = bisect_left(kids, child)
+        self._children[parent] = kids[:at] + (child,) + kids[at:]
+        self._parent[child] = parent
+
+    def _unlink(self, node: NodeId) -> NodeId:
+        """Drop ``node`` from its parent's children; returns the parent."""
+        parent = self._parent[node]
+        assert parent is not None
+        kids = self._children[parent]
+        at = kids.index(node)
+        self._children[parent] = kids[:at] + kids[at + 1 :]
+        return parent
+
+    def _shift(self, table: dict[NodeId, int], node: NodeId, delta: int) -> None:
+        """Add ``delta`` to ``table`` (``_count`` or ``_size``) at ``node``
+        and at every node above it."""
+        parent = self._parent
+        cursor: NodeId | None = node
+        while cursor is not None:
+            table[cursor] += delta
+            cursor = parent[cursor]
+
+    def _release_dead_branch(self, cursor: NodeId) -> list[NodeId]:
+        """Delete relays from ``cursor`` upward that serve nobody any more."""
+        removed: list[NodeId] = []
         while (
             cursor != self.source
             and not self._children[cursor]
             and cursor not in self._members
         ):
-            parent = self._parent[cursor]
-            assert parent is not None
-            self._children[parent].discard(cursor)
+            parent = self._unlink(cursor)
             del self._parent[cursor]
             del self._children[cursor]
+            del self._count[cursor]
+            del self._size[cursor]
+            removed.append(cursor)
             cursor = parent
+        if removed:
+            self._shift(self._size, cursor, -len(removed))
+        return removed
 
     # ------------------------------------------------------------------
     # Failure analysis
@@ -347,7 +431,9 @@ class MulticastTree:
         """Independent copy sharing the same (immutable-by-convention) topology."""
         clone = MulticastTree(self.topology, self.source)
         clone._parent = dict(self._parent)
-        clone._children = {node: set(kids) for node, kids in self._children.items()}
+        clone._children = dict(self._children)  # the tuples are immutable
+        clone._count = dict(self._count)
+        clone._size = dict(self._size)
         clone._members = set(self._members)
         return clone
 

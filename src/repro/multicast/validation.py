@@ -10,7 +10,11 @@ here so that the invariants are stated once:
 3. every tree link exists in the topology;
 4. every member is an on-tree node;
 5. every leaf is a member (no dead branches — the leave procedure must
-   have trimmed them).
+   have trimmed them);
+6. the state the tree maintains matches a fresh bottom-up walk: each
+   node's children form a sorted tuple, its ``N_R`` equals its own
+   membership plus its children's counts, and its subtree size equals
+   one plus its children's sizes.
 """
 
 from __future__ import annotations
@@ -38,7 +42,7 @@ def check_tree_invariants(tree: MulticastTree) -> None:
                     f"child link {node}->{child} not mirrored in parent map"
                 )
     for node, up in parent.items():
-        if up is not None and node not in children.get(up, set()):
+        if up is not None and node not in children.get(up, ()):
             raise MulticastError(f"parent link {node}->{up} not mirrored in children")
 
     # Rooted/acyclic: every node must reach the source within |tree| hops.
@@ -68,3 +72,32 @@ def check_tree_invariants(tree: MulticastTree) -> None:
     for node, kids in children.items():
         if not kids and node not in members and node != tree.source:
             raise MulticastError(f"leaf {node} is neither a member nor the source")
+
+    # Maintained state, in one bottom-up pass (leaves before parents).
+    counts = tree._count  # noqa: SLF001
+    sizes = tree._size  # noqa: SLF001
+    if set(counts) != set(parent):
+        raise MulticastError("N_R map covers a different node set than the tree")
+    if set(sizes) != set(parent):
+        raise MulticastError("subtree-size map covers a different node set than the tree")
+    order = [tree.source]
+    for node in order:
+        order.extend(children[node])
+    fresh: dict = {}
+    fresh_size: dict = {}
+    for node in reversed(order):
+        kids = children[node]
+        if type(kids) is not tuple or kids != tuple(sorted(set(kids))):
+            raise MulticastError(f"children of {node} are not a sorted tuple: {kids}")
+        fresh[node] = (node in members) + sum(fresh[child] for child in kids)
+        if counts[node] != fresh[node]:
+            raise MulticastError(
+                f"maintained N_R of {node} is {counts[node]}, a walk counts "
+                f"{fresh[node]}"
+            )
+        fresh_size[node] = 1 + sum(fresh_size[child] for child in kids)
+        if sizes[node] != fresh_size[node]:
+            raise MulticastError(
+                f"maintained subtree size of {node} is {sizes[node]}, a walk "
+                f"counts {fresh_size[node]}"
+            )

@@ -1,10 +1,13 @@
 """Tests for distributed SMRP state maintenance and message accounting."""
 
+import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError, NotOnTreeError
 from repro.graph.generators import node_id
+from repro.graph.waxman import WaxmanConfig, waxman_topology
 from repro.multicast.tree import MulticastTree
+from repro.core.protocol import SMRPConfig, SMRPProtocol
 from repro.core.shr import shr_table, subtree_member_counts
 from repro.core.state import StateManager
 
@@ -110,3 +113,37 @@ class TestMessageAccounting:
             t.prune(node_id("F"))
             manager.notify_prune(node_id("D"))
         assert deferred.counters.total < eager.counters.total
+
+
+class TestModesAgree:
+    """Eager and deferred maintenance differ only in message accounting."""
+
+    @pytest.mark.parametrize("mode", ["eager", "deferred"])
+    def test_new_branch_starts_from_its_upstream_shr(self, fig4, mode):
+        tree = MulticastTree(fig4, node_id("S"))
+        manager = StateManager(tree, mode=mode)
+        path = [node_id(label) for label in "SADE"]
+        tree.graft(path)
+        manager.notify_graft(path)
+        assert manager.condition_i_delta(node_id("E")) == 0
+
+    @pytest.mark.parametrize("seed", [24])
+    def test_same_trees_and_reshapes_in_both_modes(self, seed):
+        topology = waxman_topology(
+            WaxmanConfig(n=60, alpha=0.25, beta=0.25, seed=seed)
+        ).topology
+        rng = np.random.default_rng(seed + 1)
+        members = [int(m) for m in rng.choice(range(1, 60), 15, replace=False)]
+        outcome = {}
+        for mode in ("eager", "deferred"):
+            proto = SMRPProtocol(topology, 0, config=SMRPConfig(state_mode=mode))
+            proto.build(members)
+            for member in members[::3]:
+                proto.leave(member)
+            outcome[mode] = (
+                sorted(proto.tree.tree_links()),
+                proto.stats.reshape_evaluations,
+                proto.stats.reshapes_performed,
+                proto.state.counters.n_updates,
+            )
+        assert outcome["deferred"] == outcome["eager"]

@@ -33,7 +33,7 @@ class TestConstruction:
         assert fig1_tree.is_member(node_id("C"))
         assert fig1_tree.is_member(node_id("D"))
         assert fig1_tree.parent(node_id("C")) == node_id("A")
-        assert fig1_tree.children(node_id("A")) == [node_id("C"), node_id("D")]
+        assert fig1_tree.children(node_id("A")) == (node_id("C"), node_id("D"))
         check_tree_invariants(fig1_tree)
 
     def test_graft_single_node_marks_member(self, fig1_tree):
@@ -94,6 +94,13 @@ class TestQueries:
         assert fig1_tree.subtree_member_count(node_id("A")) == 2
         assert fig1_tree.subtree_member_count(node_id("C")) == 1
         assert fig1_tree.subtree_member_count(node_id("S")) == 2
+
+    def test_subtree_size(self, fig1_tree):
+        assert fig1_tree.subtree_size(node_id("S")) == 4
+        assert fig1_tree.subtree_size(node_id("A")) == 3
+        assert fig1_tree.subtree_size(node_id("D")) == 1
+        with pytest.raises(NotOnTreeError):
+            fig1_tree.subtree_size(node_id("B"))
 
     def test_interface_counts(self, fig1_tree):
         counts = fig1_tree.downstream_interface_counts(node_id("A"))
@@ -173,6 +180,30 @@ class TestMoveSubtree:
             fig1_tree.move_subtree(
                 node_id("D"), [node_id("S"), node_id("A"), node_id("D")]
             )
+
+
+class TestTrimDeadBranches:
+    def test_trims_every_memberless_relay(self, fig1):
+        s, a, b, c, d = (node_id(label) for label in "SABCD")
+        tree = MulticastTree(fig1, s)
+        tree.graft([s, a, c, d], member=False)
+        tree.graft([s, b], member=False)
+        tree.add_member(c)
+        tree.trim_dead_branches()
+        assert set(tree.on_tree_nodes()) == {s, a, c}
+        assert tree.children(s) == (a,)
+        assert tree.subtree_member_count(s) == 1
+        check_tree_invariants(tree)
+
+    def test_memberless_tree_shrinks_to_its_source(self, fig1):
+        s, a, c, d = (node_id(label) for label in "SACD")
+        tree = MulticastTree(fig1, s)
+        tree.graft([s, a, c], member=False)
+        tree.graft([a, d], member=False)
+        tree.trim_dead_branches()
+        assert tree.on_tree_nodes() == [s]
+        assert tree.children(s) == ()
+        check_tree_invariants(tree)
 
 
 class TestFailureAnalysis:

@@ -21,7 +21,7 @@ class TestInvariantDetection:
         check_tree_invariants(tree)
 
     def test_detects_unmirrored_child(self, tree):
-        tree._children[node_id("S")].add(node_id("B"))
+        tree._children[node_id("S")] += (node_id("B"),)
         with pytest.raises(MulticastError):
             check_tree_invariants(tree)
 
@@ -33,16 +33,16 @@ class TestInvariantDetection:
     def test_detects_cycle(self, tree):
         # Create S -> A -> C and force A's parent to C: cycle A-C.
         tree._parent[node_id("A")] = node_id("C")
-        tree._children[node_id("C")].add(node_id("A"))
-        tree._children[node_id("S")].discard(node_id("A"))
+        tree._children[node_id("C")] += (node_id("A"),)
+        tree._children[node_id("S")] = ()
         with pytest.raises(MulticastError):
             check_tree_invariants(tree)
 
     def test_detects_phantom_link(self, tree):
         # Re-parent D under S although the topology has no S-D link.
-        tree._children[node_id("A")].discard(node_id("D"))
+        tree._children[node_id("A")] = (node_id("C"),)
         tree._parent[node_id("D")] = node_id("S")
-        tree._children[node_id("S")].add(node_id("D"))
+        tree._children[node_id("S")] += (node_id("D"),)
         with pytest.raises(MulticastError):
             check_tree_invariants(tree)
 
@@ -59,4 +59,19 @@ class TestInvariantDetection:
     def test_detects_source_with_parent(self, tree):
         tree._parent[node_id("S")] = node_id("A")
         with pytest.raises(MulticastError):
+            check_tree_invariants(tree)
+
+    def test_detects_stale_member_count(self, tree):
+        tree._count[node_id("A")] += 1
+        with pytest.raises(MulticastError, match="N_R"):
+            check_tree_invariants(tree)
+
+    def test_detects_stale_subtree_size(self, tree):
+        tree._size[node_id("A")] -= 1
+        with pytest.raises(MulticastError, match="subtree size"):
+            check_tree_invariants(tree)
+
+    def test_detects_unsorted_children(self, tree):
+        tree._children[node_id("A")] = (node_id("D"), node_id("C"))
+        with pytest.raises(MulticastError, match="sorted"):
             check_tree_invariants(tree)

@@ -2,7 +2,9 @@
 
 The central identity the distributed protocol relies on is
 Eq. (1) ≡ Eq. (2); these tests check it (and related SHR facts) on
-randomly generated topologies, trees, and member sets.
+randomly generated topologies, trees, and member sets.  Both forms read
+the ``N_R`` counts the tree maintains, so the expected values come from
+the whole-tree walks of :mod:`tests.core.shr_reference`.
 """
 
 from hypothesis import given, settings, strategies as st
@@ -17,6 +19,12 @@ from repro.core.shr import (
     shr_excluding_subtree,
     shr_incremental,
     subtree_member_counts,
+)
+from tests.core.shr_reference import (
+    adjusted_shr_table_reference,
+    link_utilisation_reference,
+    member_counts_reference,
+    shr_table_reference,
 )
 
 
@@ -48,8 +56,10 @@ class TestEq1EquivalentToEq2:
     def test_direct_equals_incremental(self, params):
         _, tree = build_tree(*params)
         table = shr_incremental(tree)
+        expected = shr_table_reference(tree)
+        assert table == expected
         for node in tree.on_tree_nodes():
-            assert table[node] == shr_direct(tree, node)
+            assert shr_direct(tree, node) == expected[node]
 
     @settings(max_examples=25, deadline=None)
     @given(tree_params)
@@ -57,6 +67,7 @@ class TestEq1EquivalentToEq2:
         """Eq. (1) stated over the precomputed N_L table."""
         _, tree = build_tree(*params)
         util = link_utilisation(tree)
+        assert util == link_utilisation_reference(tree)
         for node in tree.on_tree_nodes():
             path = tree.path_from_source(node)
             expected = sum(
@@ -94,6 +105,7 @@ class TestShrStructure:
         """N_R equals own membership plus the per-interface sums."""
         _, tree = build_tree(*params)
         counts = subtree_member_counts(tree)
+        assert counts == member_counts_reference(tree)
         for node in tree.on_tree_nodes():
             expected = (1 if tree.is_member(node) else 0) + sum(
                 counts[c] for c in tree.children(node)
@@ -127,6 +139,6 @@ class TestAdjustedShr:
             if mover == tree.source:
                 continue
             table = adjusted_shr_table(tree, mover)
-            assert set(table) == set(tree.on_tree_nodes())
+            assert table == adjusted_shr_table_reference(tree, mover)
             for merge in tree.on_tree_nodes():
                 assert table[merge] == shr_excluding_subtree(tree, merge, mover)

@@ -6,9 +6,9 @@ from hypothesis import given, settings, strategies as st
 from repro.errors import JoinRejectedError, UnrecoverableFailureError
 from repro.graph.waxman import WaxmanConfig, waxman_topology
 from repro.core.protocol import SMRPConfig, SMRPProtocol
-from repro.core.shr import shr_incremental
 from repro.multicast.validation import check_tree_invariants
 from repro.routing.spf import dijkstra
+from tests.core.shr_reference import shr_table_reference
 
 
 def make_topology(seed: int):
@@ -48,7 +48,7 @@ class TestOperationSequences:
                 proto.leave(node)
             check_tree_invariants(proto.tree)
             # Distributed state stays consistent with the tree.
-            assert proto.shr_values() == shr_incremental(proto.tree)
+            assert proto.shr_values() == shr_table_reference(proto.tree)
 
     @settings(max_examples=30, deadline=None)
     @given(operation_sequences())
