@@ -28,8 +28,9 @@ from dataclasses import dataclass
 
 from repro.graph.topology import NodeId, Topology
 from repro.multicast.tree import MulticastTree
+from repro.routing.csr import INF, NO_PARENT
 from repro.routing.failure_view import NO_FAILURES, FailureSet
-from repro.routing.spf import dijkstra_with_barriers
+from repro.routing.spf import barrier_search_arrays
 
 
 @dataclass(frozen=True)
@@ -73,8 +74,10 @@ def enumerate_candidates(
     allowed_merge_nodes: frozenset[NodeId] | None = None,
     mover: NodeId | None = None,
     obs=None,
+    delay_bound: float = INF,
 ) -> list[Candidate]:
-    """All valid join options for ``joiner``, sorted by (shr, delay, id).
+    """The valid join options for ``joiner`` within ``delay_bound``,
+    sorted by (shr, delay, id).
 
     Parameters
     ----------
@@ -98,13 +101,24 @@ def enumerate_candidates(
     obs:
         Optional :class:`~repro.obs.Observability`; accounts each batched
         enumeration (``routing.candidates.batched_searches``) and every
-        merge point priced (``routing.candidates.evaluated``).
+        merge point priced within the bound
+        (``routing.candidates.evaluated``).
+    delay_bound:
+        Return exactly the candidates with ``total_delay <= delay_bound +
+        1e-12``, the feasibility rule of
+        :func:`repro.core.join.select_path`; the default ``INF`` returns
+        every option.
 
-    One barrier-aware kernel pass prices the connection to *every* merge
-    point at once, and one tree traversal
-    (:meth:`~repro.multicast.tree.MulticastTree.delays_from_source`)
-    prices every merge point's on-tree delay — the whole enumeration is
-    two batched operations, never a per-candidate search.
+    One barrier-aware kernel pass prices the connection to every merge
+    point it reaches.  With a finite bound the pass is goal-directed
+    toward the source: for a candidate merging at ``R`` and any node
+    ``u`` on its connection, ``dist(u) + D(S, u) <= total_delay(R)``,
+    because the tree path ``S → R`` followed by the connection back to
+    ``u`` is a walk from ``S`` to ``u``.  Dropping relaxations that
+    exceed the bound by that measure therefore keeps every candidate
+    inside it exactly as the full search prices it.  On-tree delays are
+    summed from the source per reached merge point, in the tree's
+    top-down order, so the floats equal the per-node path walk.
     """
     mask = failures
     if excluded_nodes:
@@ -112,30 +126,46 @@ def enumerate_candidates(
     on_tree = set(tree.on_tree_nodes()) - set(excluded_nodes)
     if mover is not None:
         on_tree.discard(mover)
-    on_tree_delays = tree.delays_from_source()
-    paths = dijkstra_with_barriers(
-        topology, joiner, barriers=on_tree, weight="delay", failures=mask, obs=obs
+    csr, dist, parent, order = barrier_search_arrays(
+        topology,
+        joiner,
+        barriers=on_tree,
+        weight="delay",
+        failures=mask,
+        obs=obs,
+        goal=tree.source,
+        bound=delay_bound,
     )
     candidates = []
-    for merge in sorted(on_tree):
-        if merge not in paths.dist:
-            continue
-        if allowed_merge_nodes is not None and merge not in allowed_merge_nodes:
-            continue
-        if merge not in shr_values:
-            continue
-        toward_merge = paths.path_to(merge)
-        graft = tuple(reversed(toward_merge))
-        new_delay = paths.dist[merge]
-        candidates.append(
-            Candidate(
-                merge_node=merge,
-                graft_path=graft,
-                new_delay=new_delay,
-                total_delay=on_tree_delays[merge] + new_delay,
-                shr=shr_values[merge],
+    if dist is not None:
+        ids = csr.node_ids
+        limit = delay_bound + 1e-12
+        adjacency = topology.adjacency()
+        tree_delays = {tree.source: 0.0}
+        for i in order:
+            merge = ids[i]
+            if merge not in on_tree or merge not in shr_values:
+                continue
+            if allowed_merge_nodes is not None and merge not in allowed_merge_nodes:
+                continue
+            new_delay = dist[i]
+            total = _tree_delay(tree, adjacency, merge, tree_delays) + new_delay
+            if total > limit:
+                continue
+            graft = [merge]
+            p = parent[i]
+            while p != NO_PARENT:
+                graft.append(ids[p])
+                p = parent[p]
+            candidates.append(
+                Candidate(
+                    merge_node=merge,
+                    graft_path=tuple(graft),
+                    new_delay=new_delay,
+                    total_delay=total,
+                    shr=shr_values[merge],
+                )
             )
-        )
     candidates.sort(key=lambda c: (c.shr, c.total_delay, c.merge_node))
     if obs is not None:
         obs.counter("routing.candidates.batched_searches").inc()
@@ -150,3 +180,25 @@ def enumerate_candidates(
                 payload={"evaluated": len(candidates)},
             )
     return candidates
+
+
+def _tree_delay(
+    tree: MulticastTree, adjacency, node: NodeId, memo: dict[NodeId, float]
+) -> float:
+    """``D_{S,node}`` along the tree, memoised per call in ``memo``.
+
+    Sums top-down from the nearest memoised ancestor (``delay(child) =
+    delay(parent) + link``), the left-to-right order of
+    :meth:`~repro.multicast.tree.MulticastTree.delay_from_source`, so the
+    float is the same.
+    """
+    chain = []
+    while node not in memo:
+        chain.append(node)
+        node = tree.parent(node)
+    delay = memo[node]
+    for child in reversed(chain):
+        delay += adjacency[node][child]
+        memo[child] = delay
+        node = child
+    return delay

@@ -14,6 +14,10 @@ When *no* candidate satisfies the bound (possible on sparse topologies
 where every detour to the tree is long — the paper does not discuss this
 corner), the selection falls back to the minimum-delay candidate and flags
 the fallback, so experiments can report how often it happens.
+
+:func:`select_join` is the join both engines run: it computes the bound
+first and enumerates only the candidates inside it, falling back to the
+full enumeration only when none is.
 """
 
 from __future__ import annotations
@@ -21,12 +25,24 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.errors import ConfigurationError, JoinRejectedError
-from repro.core.candidates import Candidate
+from repro.graph.topology import NodeId, Topology
+from repro.multicast.tree import MulticastTree
+from repro.core.candidates import Candidate, enumerate_candidates
+from repro.routing.failure_view import NO_FAILURES, FailureSet
+from repro.routing.spf import ShortestPaths, dijkstra
 
 
 @dataclass(frozen=True)
 class PathSelection:
-    """The outcome of one path selection."""
+    """The outcome of one path selection.
+
+    ``num_candidates`` counts the options the selection was given and
+    ``num_feasible`` those inside the delay bound.  :func:`select_join`
+    hands over only the candidates inside the bound, so for its
+    selections the two are equal, unless no candidate was inside the
+    bound (a fallback: ``num_feasible == 0`` and ``num_candidates`` counts
+    every option).
+    """
 
     candidate: Candidate
     spf_delay: float
@@ -38,6 +54,35 @@ class PathSelection:
     @property
     def within_bound(self) -> bool:
         return self.candidate.total_delay <= self.bound + 1e-12
+
+
+def unicast_spf(
+    topology: Topology,
+    node: NodeId,
+    failures: FailureSet = NO_FAILURES,
+    route_cache=None,
+    obs=None,
+) -> ShortestPaths:
+    """``node``'s delay SPF, whose distance to the source is ``D^{SPF}``.
+
+    Served by ``route_cache`` (a
+    :class:`~repro.routing.route_cache.RouteCache`, which ``obs``
+    accounts) when one is given, else computed.
+    """
+    if route_cache is not None:
+        return route_cache.shortest_paths(
+            topology, node, weight="delay", failures=failures, obs=obs
+        )
+    return dijkstra(topology, node, weight="delay", failures=failures)
+
+
+def delay_bound(spf_delay: float, d_thresh: float) -> float:
+    """The §3.2.2 bound ``(1 + D_thresh) · D^SPF_{S,NR}``."""
+    if d_thresh < 0:
+        raise ConfigurationError(f"D_thresh must be non-negative, got {d_thresh}")
+    if spf_delay < 0:
+        raise ConfigurationError(f"SPF delay must be non-negative, got {spf_delay}")
+    return (1.0 + d_thresh) * spf_delay
 
 
 def select_path(
@@ -63,14 +108,10 @@ def select_path(
         :class:`~repro.errors.JoinRejectedError` instead of falling back
         to the minimum-delay candidate.
     """
-    if d_thresh < 0:
-        raise ConfigurationError(f"D_thresh must be non-negative, got {d_thresh}")
-    if spf_delay < 0:
-        raise ConfigurationError(f"SPF delay must be non-negative, got {spf_delay}")
+    bound = delay_bound(spf_delay, d_thresh)
     if not candidates:
         raise JoinRejectedError(None, "no candidate paths reach the tree")
 
-    bound = (1.0 + d_thresh) * spf_delay
     feasible = [c for c in candidates if c.total_delay <= bound + 1e-12]
     if feasible:
         best = min(feasible, key=lambda c: (c.shr, c.total_delay, c.merge_node))
@@ -96,4 +137,36 @@ def select_path(
         fallback=True,
         num_candidates=len(candidates),
         num_feasible=0,
+    )
+
+
+def select_join(
+    topology: Topology,
+    tree: MulticastTree,
+    joiner: NodeId,
+    shr_values: dict[NodeId, int],
+    spf_delay: float,
+    d_thresh: float,
+    failures: FailureSet = NO_FAILURES,
+    allow_fallback: bool = True,
+    obs=None,
+) -> PathSelection:
+    """Enumerate ``joiner``'s options and apply the criterion (§3.2.2).
+
+    ``spf_delay`` is ``D^{SPF}_{S,NR}``, which the caller looks up first.
+    Only the candidates inside the bound are enumerated; when there are
+    none, the full enumeration runs so that fallback and rejection
+    behave exactly as :func:`select_path` does on every option.
+    """
+    bound = delay_bound(spf_delay, d_thresh)
+    candidates = enumerate_candidates(
+        topology, tree, joiner, shr_values,
+        failures=failures, obs=obs, delay_bound=bound,
+    )
+    if not candidates:
+        candidates = enumerate_candidates(
+            topology, tree, joiner, shr_values, failures=failures, obs=obs
+        )
+    return select_path(
+        candidates, spf_delay, d_thresh, allow_fallback=allow_fallback
     )

@@ -25,8 +25,7 @@ from repro.graph.topology import NodeId, Topology
 from repro.multicast.tree import MulticastTree
 from repro.multicast.validation import check_tree_invariants
 from repro.obs import NULL_OBS, Observability
-from repro.core.candidates import enumerate_candidates
-from repro.core.join import PathSelection, select_path
+from repro.core.join import PathSelection, select_join, select_path, unicast_spf
 from repro.core.leave import LeaveOutcome, process_leave
 from repro.core.query import enumerate_candidates_query
 from repro.core.recovery import (
@@ -39,7 +38,6 @@ from repro.core.reshape import ReshapeDecision, apply_reshape, evaluate_reshape
 from repro.core.state import StateManager
 from repro.routing.failure_view import NO_FAILURES, FailureSet
 from repro.routing.route_cache import RouteCache
-from repro.routing.spf import dijkstra
 
 
 @dataclass(frozen=True)
@@ -200,33 +198,24 @@ class SMRPProtocol:
                 self._c_query_messages.inc(query_stats.queries_sent)
                 self._c_query_hops.inc(query_stats.query_hops)
                 self._c_msg_query.inc(query_stats.queries_sent)
+                selection = select_path(
+                    candidates,
+                    self._spf_delay(member, failures),
+                    self.config.d_thresh,
+                    allow_fallback=self.config.allow_fallback,
+                )
             else:
-                candidates = enumerate_candidates(
+                selection = select_join(
                     self.topology,
                     self.tree,
                     member,
                     shr_values,
+                    self._spf_delay(member, failures),
+                    self.config.d_thresh,
                     failures=failures,
+                    allow_fallback=self.config.allow_fallback,
                     obs=self.obs,
                 )
-            if self.route_cache is not None:
-                spf = self.route_cache.shortest_paths(
-                    self.topology,
-                    member,
-                    weight="delay",
-                    failures=failures,
-                    obs=self.obs,
-                )
-            else:
-                spf = dijkstra(
-                    self.topology, member, weight="delay", failures=failures
-                )
-            selection = select_path(
-                candidates,
-                spf.distance(self.source),
-                self.config.d_thresh,
-                allow_fallback=self.config.allow_fallback,
-            )
             if selection.fallback:
                 self.stats.fallback_joins += 1
                 self._c_fallback_joins.inc()
@@ -239,6 +228,14 @@ class SMRPProtocol:
             self._c_msg_join.inc(len(graft) - 1)
             self._after_membership_change()
             return selection
+
+    def _spf_delay(self, member: NodeId, failures: FailureSet) -> float:
+        """``D^{SPF}_{S,NR}``; raises :class:`~repro.errors.NoPathError`
+        when the source is unreachable."""
+        spf = unicast_spf(
+            self.topology, member, failures, self.route_cache, self.obs
+        )
+        return spf.distance(self.source)
 
     def leave(self, member: NodeId) -> LeaveOutcome:
         """Process a member departure (``Leave_Req`` walk, §3.2.2)."""

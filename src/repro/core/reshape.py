@@ -33,14 +33,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.errors import JoinRejectedError, MulticastError, NotOnTreeError
+from repro.errors import MulticastError, NotOnTreeError
 from repro.graph.topology import NodeId, Topology
 from repro.multicast.tree import MulticastTree
 from repro.core.candidates import enumerate_candidates
-from repro.core.join import select_path
+from repro.core.join import delay_bound, select_path, unicast_spf
 from repro.core.shr import adjusted_shr_table
 from repro.routing.failure_view import NO_FAILURES, FailureSet
-from repro.routing.spf import dijkstra
 
 
 @dataclass(frozen=True)
@@ -112,21 +111,28 @@ def _evaluate_reshape(
     table = adjusted_shr_table(tree, node)
     current_adjusted = table[upstream]
 
-    subtree = tree.subtree_nodes(node)
-    adjusted_shr = {
-        merge: table[merge]
-        for merge in tree.on_tree_nodes()
-        if merge not in subtree
-    }
+    spf = unicast_spf(topology, node, failures, route_cache, obs)
+    if tree.source not in spf.dist:
+        return ReshapeDecision(
+            node=node,
+            performed=False,
+            reason="source unreachable",
+            current_upstream=upstream,
+            current_shr_adjusted=current_adjusted,
+        )
+    spf_delay = spf.dist[tree.source]
+    # The mover's subtree is excluded from the merge points, so the table
+    # serves as the SHR view as it stands.
     candidates = enumerate_candidates(
         topology,
         tree,
         joiner=node,
-        shr_values=adjusted_shr,
+        shr_values=table,
         failures=failures,
-        excluded_nodes=frozenset(subtree - {node}),
+        excluded_nodes=frozenset(tree.subtree_nodes(node) - {node}),
         mover=node,
         obs=obs,
+        delay_bound=delay_bound(spf_delay, d_thresh),
     )
     # Discard the degenerate candidate that re-selects the current
     # attachment through the same upstream link.
@@ -139,38 +145,13 @@ def _evaluate_reshape(
         return ReshapeDecision(
             node=node,
             performed=False,
-            reason="no alternative attachment reachable",
+            reason="no alternative attachment within the delay bound",
             current_upstream=upstream,
             current_shr_adjusted=current_adjusted,
         )
 
-    if route_cache is not None:
-        spf = route_cache.shortest_paths(
-            topology, node, weight="delay", failures=failures, obs=obs
-        )
-    else:
-        spf = dijkstra(topology, node, weight="delay", failures=failures)
-    if tree.source not in spf.dist:
-        return ReshapeDecision(
-            node=node,
-            performed=False,
-            reason="source unreachable",
-            current_upstream=upstream,
-            current_shr_adjusted=current_adjusted,
-        )
-    try:
-        selection = select_path(
-            candidates, spf.dist[tree.source], d_thresh, allow_fallback=False
-        )
-    except JoinRejectedError:
-        return ReshapeDecision(
-            node=node,
-            performed=False,
-            reason="no candidate within the delay bound",
-            current_upstream=upstream,
-            current_shr_adjusted=current_adjusted,
-        )
-
+    # Every candidate left is inside the bound, so this never rejects.
+    selection = select_path(candidates, spf_delay, d_thresh, allow_fallback=False)
     chosen = selection.candidate
     if chosen.shr >= current_adjusted:
         return ReshapeDecision(

@@ -138,28 +138,6 @@ class MulticastTree:
         """End-to-end delay ``D_{S,node}`` along the tree."""
         return self.topology.path_delay(self.path_from_source(node))
 
-    def delays_from_source(self) -> dict[NodeId, float]:
-        """``D_{S,node}`` for *every* on-tree node, in one traversal.
-
-        Equivalent to calling :meth:`delay_from_source` per node but
-        linear in the tree size instead of quadratic: candidate
-        enumeration prices every merge point of every join with it.
-        Accumulation runs top-down (``delay(child) = delay(node) + link``),
-        the same left-to-right summation order as the per-node path walk,
-        so the floats are bit-identical.
-        """
-        adjacency = self.topology.adjacency()
-        delays: dict[NodeId, float] = {self.source: 0.0}
-        stack = [self.source]
-        while stack:
-            node = stack.pop()
-            d = delays[node]
-            row = adjacency[node]
-            for child in self._children[node]:
-                delays[child] = d + row[child]
-                stack.append(child)
-        return delays
-
     def tree_cost(self) -> float:
         """Total cost of the tree (the paper's ``Cost_T``)."""
         return sum(self.topology.cost(u, v) for u, v in self.tree_links())

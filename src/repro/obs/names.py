@@ -68,6 +68,8 @@ METRIC_NAMES: frozenset[str] = frozenset({
     "routing.batch.roots",
     "routing.batch.rounds",
     "routing.candidates.batched_searches",
+    # Merge points priced within the delay bound the enumeration was
+    # given; a join or reshape prices only those (§3.2.2).
     "routing.candidates.evaluated",
     "routing.kernel.barrier_calls",
     "routing.kernel.calls",

@@ -87,6 +87,7 @@ class CsrGraph:
         "_weight_arrays",
         "_incoming",
         "_batch_plan",
+        "_root_dist",
     )
 
     def __init__(self, topology: "Topology") -> None:
@@ -131,6 +132,7 @@ class CsrGraph:
         # repro.routing.batch the first time a multi-root kernel runs
         # over this compiled graph.
         self._batch_plan = None
+        self._root_dist: dict[tuple[str, int], list[float]] = {}
 
     @property
     def num_nodes(self) -> int:
@@ -167,6 +169,23 @@ class CsrGraph:
             arr.setflags(write=False)
             self._weight_arrays[weight] = arr
         return arr
+
+    def root_distances(self, root_index: int, weight: str) -> list[float]:
+        """Failure-free distances from ``root_index``, memoised per root.
+
+        The graph is undirected, so ``dist[v]`` is also the shortest
+        distance from ``v`` back to the root: under any failure set or
+        excluded nodes, no path to the root is shorter.  That makes it
+        the admissible lower bound goal-directed searches prune with
+        (:func:`csr_dijkstra`'s ``lower``).  One array per root per
+        weight, kept for the lifetime of the compiled graph.
+        """
+        key = (weight, root_index)
+        dist = self._root_dist.get(key)
+        if dist is None:
+            dist = csr_dijkstra(self, root_index, self.weight_list(weight), None)[0]
+            self._root_dist[key] = dist
+        return dist
 
     def incoming(self):
         """The graph's *incoming*-CSR view ``(in_ptr, in_src, in_arc)``.
@@ -239,6 +258,8 @@ def csr_dijkstra(
     weights: list[float],
     mask: tuple[bytearray, bytearray] | None,
     barriers: bytearray | None = None,
+    lower: list[float] | None = None,
+    limit: float = INF,
 ) -> tuple[list[float], list[int], list[int]]:
     """Array-based single-source shortest paths over a compiled graph.
 
@@ -253,6 +274,18 @@ def csr_dijkstra(
     settled but never traversed; the ``source_index`` itself is always
     traversable, matching
     :func:`repro.routing.spf.dijkstra_with_barriers`.
+
+    ``lower`` (optional per-node array) and ``limit`` make the search
+    goal-directed: an improving relaxation ``u → v`` is dropped before its
+    heap push when ``dist(u) + w + lower[v] > limit``.  When ``lower`` is
+    consistent (``lower[u] <= w(u, v) + lower[v]``, as exact distances to a
+    goal are), ``dist + lower`` never decreases along a shortest path, so
+    every node on or tied with the path to a node ``v`` whose unbounded
+    ``dist(v) + lower[v]`` is below ``limit`` by more than float error is
+    below it too: ``v`` keeps the unbounded run's ``dist`` and ``parent``,
+    tie-breaks included (the pop order of those nodes is unchanged).
+    Other nodes may be missing or over-priced, and ``order`` lists only
+    what the bounded search discovered.
 
     Ties between equal-length paths keep the smaller predecessor *index*,
     which equals the smaller predecessor *id* because indices are assigned
@@ -294,6 +327,8 @@ def csr_dijkstra(
             candidate = dist_u + weights[arc]
             best = dist[v]
             if candidate < best - 1e-12:
+                if lower is not None and candidate + lower[v] > limit:
+                    continue  # cannot lie on a path within the limit
                 if best == INF:
                     order.append(v)
                 dist[v] = candidate
@@ -315,14 +350,19 @@ def csr_dijkstra_barriers(
     weights: list[float],
     mask: tuple[bytearray, bytearray] | None,
     barrier_indices,
+    lower: list[float] | None = None,
+    limit: float = INF,
 ) -> tuple[list[float], list[int], list[int]]:
     """Barrier-constrained variant: settle barrier nodes, never cross them.
 
     ``barrier_indices`` is any iterable of node indices; it is compiled to
     a per-node bitset once per call (the search itself then pays two array
-    probes per settled node, not a set lookup per edge).
+    probes per settled node, not a set lookup per edge).  ``lower`` and
+    ``limit`` bound the search as in :func:`csr_dijkstra`.
     """
     flags = bytearray(csr.num_nodes)
     for i in barrier_indices:
         flags[i] = 1
-    return csr_dijkstra(csr, source_index, weights, mask, barriers=flags)
+    return csr_dijkstra(
+        csr, source_index, weights, mask, barriers=flags, lower=lower, limit=limit
+    )

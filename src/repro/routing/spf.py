@@ -36,6 +36,7 @@ from dataclasses import dataclass, field
 from repro.errors import NoPathError, RoutingError, TopologyError
 from repro.graph.topology import NodeId, Topology
 from repro.routing.csr import (
+    INF,
     NO_PARENT,
     CsrGraph,
     compile_failures,
@@ -43,6 +44,11 @@ from repro.routing.csr import (
     csr_dijkstra_barriers,
 )
 from repro.routing.failure_view import NO_FAILURES, FailureSet
+
+#: Relative and absolute slack on a goal-directed search's bound, far
+#: above the float error of summing a path's delays, so rounding never
+#: drops a relaxation on (or tied with) a path inside the bound.
+BOUND_SLACK = 1e-9
 
 
 @dataclass
@@ -169,6 +175,8 @@ def barrier_search_arrays(
     weight: str = "delay",
     failures: FailureSet = NO_FAILURES,
     obs=None,
+    goal: NodeId | None = None,
+    bound: float = INF,
 ) -> tuple[CsrGraph, list[float] | None, list[int] | None, list[int] | None]:
     """Raw kernel output of a barrier-constrained search.
 
@@ -179,6 +187,14 @@ def barrier_search_arrays(
     this call.  A failed ``source`` short-circuits to
     ``(csr, None, None, None)`` (the wrapper's empty-result semantics)
     without running the kernel.
+
+    With a ``goal`` and a finite ``bound`` the search is goal-directed:
+    it drops every relaxation whose length so far plus the failure-free
+    distance to ``goal`` (memoised per goal by
+    :meth:`~repro.routing.csr.CsrGraph.root_distances`) exceeds
+    ``bound * (1 + BOUND_SLACK) + BOUND_SLACK``.  Every node ``v`` with
+    ``dist(v) + D(goal, v) <= bound`` keeps the unbounded search's
+    distance and parent; other nodes may be missing or over-priced.
     """
     _check_args(topology, source, weight)
     csr = topology.csr()
@@ -187,12 +203,21 @@ def barrier_search_arrays(
     if obs is not None:
         obs.counter("routing.kernel.barrier_calls").inc()
     index_of = csr.index_of
+    lower = None
+    limit = INF
+    if goal is not None and bound < INF:
+        if goal not in index_of:
+            raise TopologyError(f"goal {goal} is not in the topology")
+        lower = csr.root_distances(index_of[goal], weight)
+        limit = bound * (1.0 + BOUND_SLACK) + BOUND_SLACK
     dist, parent, order = csr_dijkstra_barriers(
         csr,
         index_of[source],
         csr.weight_list(weight),
         compile_failures(csr, failures),
         (index_of[b] for b in barriers if b in index_of),
+        lower=lower,
+        limit=limit,
     )
     return csr, dist, parent, order
 

@@ -32,8 +32,7 @@ from dataclasses import dataclass, field
 from repro.errors import SimulationError
 from repro.graph.topology import NodeId, Topology
 from repro.multicast.tree import MulticastTree
-from repro.core.candidates import Candidate, enumerate_candidates
-from repro.core.join import select_path
+from repro.core.join import select_join
 from repro.obs import NULL_OBS, Observability
 from repro.routing.failure_view import FailureSet
 from repro.routing.route_cache import RouteCache
@@ -868,11 +867,15 @@ class SmrpSimulation(_BaseSimulation):
         tree = self.extract_tree()
         shr_values = self.shr_view()
         shr_values.setdefault(self.source, 0)
-        candidates = enumerate_candidates(
-            self.topology, tree, member, shr_values
-        )
         spf = self.route_cache.shortest_paths(self.topology, member, obs=self.obs)
-        selection = select_path(candidates, spf.distance(self.source), self.d_thresh)
+        selection = select_join(
+            self.topology,
+            tree,
+            member,
+            shr_values,
+            spf.distance(self.source),
+            self.d_thresh,
+        )
         # start_join expects joiner-first ordering.
         return tuple(reversed(selection.candidate.graft_path))
 

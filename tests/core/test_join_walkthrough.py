@@ -8,6 +8,7 @@ paper describes.
 import pytest
 
 from repro.graph.generators import node_id
+from repro.core.candidates import enumerate_candidates
 from repro.core.protocol import SMRPConfig, SMRPProtocol
 
 
@@ -54,8 +55,24 @@ class TestFigure4:
         assert selection.candidate.merge_node == node_id("D")
         assert selection.candidate.graft_path == (node_id("D"), node_id("F"))
         assert not selection.fallback
-        # The infeasible candidates were enumerated but filtered.
-        assert selection.num_candidates > selection.num_feasible
+        # Only the option inside the bound is enumerated and priced.
+        assert selection.num_candidates == selection.num_feasible == 1
+
+    def test_f_options_beyond_the_bound_exist(self, proto):
+        """The unbounded enumeration still finds F→B→S and F→G→B→S."""
+        proto.join(node_id("E"))
+        proto.join(node_id("G"))
+        options = {
+            c.graft_path: c.total_delay
+            for c in enumerate_candidates(
+                proto.topology, proto.tree, node_id("F"), proto.shr_values()
+            )
+        }
+        bound = 1.3 * 2.4
+        assert options[(node_id("B"), node_id("F"))] == pytest.approx(3.5)
+        assert options[(node_id("G"), node_id("F"))] == pytest.approx(3.4)
+        assert options[(node_id("B"), node_id("F"))] > bound
+        assert options[(node_id("G"), node_id("F"))] > bound
 
     def test_final_tree_shape(self, proto):
         for m in ("E", "G", "F"):

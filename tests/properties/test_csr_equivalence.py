@@ -11,8 +11,13 @@ Waxman ensembles crossed with random failure scenarios and barrier sets.
 from hypothesis import given, settings, strategies as st
 
 from repro.graph.waxman import WaxmanConfig, waxman_topology
+from repro.routing.csr import INF
 from repro.routing.failure_view import NO_FAILURES, FailureSet
-from repro.routing.spf import dijkstra, dijkstra_with_barriers
+from repro.routing.spf import (
+    barrier_search_arrays,
+    dijkstra,
+    dijkstra_with_barriers,
+)
 from tests.routing.spf_reference import (
     dijkstra_reference,
     dijkstra_with_barriers_reference,
@@ -99,3 +104,65 @@ class TestCsrMatchesReference:
         kernel = dijkstra(topology, source)
         reference = dijkstra_reference(topology, source)
         assert_identical(kernel, reference)
+
+
+class TestGoalDirectedSearch:
+    """The delay-bounded search keeps every node inside the bound exact.
+
+    ``barrier_search_arrays(..., goal=g, bound=b)`` drops relaxations
+    whose length so far plus the failure-free distance to ``g`` exceeds
+    ``b`` (with a small slack).  For every node ``v`` whose *unbounded*
+    ``dist(v) + D(g, v)`` is within ``b`` it must return the unbounded
+    run's distance and parent bit for bit; nothing may come out shorter
+    than the unbounded distance.
+    """
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.integers(0, 300),
+        st.integers(0, 24),
+        st.integers(0, 24),
+        st.lists(st.integers(0, 100), max_size=3),
+        st.lists(st.integers(0, 24), max_size=2),
+        st.integers(2, 6),
+        st.sampled_from(["delay", "cost"]),
+        st.one_of(
+            st.floats(-0.2, 1.2).map(lambda q: ("fraction", q)),
+            st.integers(0, 24).map(lambda i: ("exact", i)),
+        ),
+    )
+    def test_bounded_matches_unbounded_inside_the_bound(
+        self, seed, source, goal, link_idx, node_ids, modulo, weight, bound_draw
+    ):
+        topology = make_topology(seed)
+        failures = random_failures(topology, link_idx, node_ids)
+        barriers = {n for n in topology.nodes() if n % modulo == 0} - {source}
+        csr, dist, parent, _ = barrier_search_arrays(
+            topology, source, barriers, weight=weight, failures=failures
+        )
+        if dist is None:  # failed source: nothing to compare
+            return
+        to_goal = csr.root_distances(csr.index_of[goal], weight)
+        through = [d + g for d, g in zip(dist, to_goal)]
+        finite = sorted(t for t in through if t < INF)
+        kind, value = bound_draw
+        if kind == "fraction":
+            bound = finite[-1] * value
+        else:  # a bound landing exactly on one node's dist + D(goal, .)
+            bound = finite[value % len(finite)]
+        _, bdist, bparent, border = barrier_search_arrays(
+            topology, source, barriers, weight=weight, failures=failures,
+            goal=goal, bound=bound,
+        )
+        for v, total in enumerate(through):
+            if total <= bound:
+                assert bdist[v] == dist[v]
+                assert bparent[v] == parent[v]
+            assert bdist[v] >= dist[v]
+        assert sorted(border) == sorted(v for v in range(len(bdist)) if bdist[v] < INF)
+
+    def test_infinite_bound_is_the_full_search(self):
+        topology = make_topology(7)
+        full = barrier_search_arrays(topology, 3, {0, 5, 9})
+        bounded = barrier_search_arrays(topology, 3, {0, 5, 9}, goal=0, bound=INF)
+        assert full[1:] == bounded[1:]
