@@ -89,6 +89,7 @@ def test_disabled_obs_registers_nothing():
         "counters": {},
         "gauges": {},
         "histograms": {},
+        "hdr_histograms": {},
     }
 
 

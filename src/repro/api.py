@@ -28,15 +28,14 @@ a thin wrapper that opens a transient :class:`Session`, delegates, and
 closes it.  Their signatures and behavior are unchanged.
 
 Every entry point accepts ``jobs`` (worker process count) or an explicit
-``executor``; ``jobs > 1`` fans work units out over a
-``ProcessPoolExecutor`` with results merged deterministically in input
-order, so parallel runs are byte-identical to serial ones.  Passing a
-``policy`` (:class:`ExecPolicy`) instead selects the fault-tolerant
-:class:`ResilientExecutor` — per-unit timeouts, bounded retries, crash
-isolation, and checkpoint/resume — which preserves the same
-byte-identical guarantee even when workers crash or hang mid-batch.
-The combination rules live in one place, :func:`resolve_executor`,
-shared with the CLI.
+``executor``; ``jobs > 1`` fans work units out over the
+:class:`ParallelExecutor` pool of long-lived worker processes, with
+results merged deterministically in input order, so parallel runs are
+byte-identical to serial ones.  A ``policy`` (:class:`ExecPolicy`) sets
+the pool's per-unit timeouts, retries and checkpoint/resume (and implies
+the pool on its own); the byte-identical guarantee holds even when
+workers crash or hang mid-batch.  The combination rules live in one
+place, :func:`resolve_executor`, shared with the CLI.
 
 ``__all__`` below is the documented public surface; anything not listed
 is an implementation detail.
@@ -70,7 +69,7 @@ from repro.experiments.exec.executor import (
     make_executor,
     resolve_executor,
 )
-from repro.experiments.exec.resilience import ExecPolicy, ResilientExecutor
+from repro.experiments.exec.resilience import ExecPolicy
 from repro.experiments.exec.spec import ExperimentSpec
 from repro.experiments.runner import ScenarioResult
 from repro.experiments.runner import run_scenario as _run_scenario
@@ -86,7 +85,6 @@ __all__ = [
     "GroupRestoration",
     "MulticastController",
     "ParallelExecutor",
-    "ResilientExecutor",
     "ScenarioConfig",
     "ScenarioResult",
     "SerialExecutor",
@@ -390,9 +388,9 @@ def run_sweep(
     ``spec`` may be an :class:`ExperimentSpec` or its ``to_dict`` form.
     Parallelism: pass ``jobs > 1`` for a transient process pool, or a
     ready :class:`Executor` (which stays open — callers own its
-    lifecycle).  ``policy`` selects the fault-tolerant
-    :class:`ResilientExecutor` instead (timeouts, retries,
-    checkpoint/resume); mutually exclusive with ``executor``.
+    lifecycle).  ``policy`` sets the pool's timeouts, retries and
+    checkpoint/resume (implying the pool even at ``jobs=1``); mutually
+    exclusive with ``executor``.
     ``telemetry`` (a :class:`~repro.obs.live.TelemetryHub`) streams
     lifecycle events and progress while the sweep runs; it is
     observe-only and also mutually exclusive with ``executor`` (attach
@@ -419,7 +417,7 @@ def run_service(
     run is cut into shard work units (``spec.shard_size`` groups each)
     that ride the selected executor; the merged
     :class:`ServiceReport` is byte-identical however the shards were
-    scheduled — serial, pooled, resilient, or resumed from a
+    scheduled — serial, pooled (faulted or not), or resumed from a
     checkpoint.
     """
     if isinstance(spec, dict):
@@ -453,8 +451,8 @@ def build_figure(
     shrinks the seeding grid to 4×2 scenarios per sweep point (the CLI's
     ``--quick``); any figure-driver keyword (``values``, ``n``,
     ``topologies``, …) can be overridden explicitly and wins over
-    ``quick``.  ``policy`` selects the fault-tolerant
-    :class:`ResilientExecutor` (mutually exclusive with ``executor``).
+    ``quick``.  ``policy`` sets the pool's timeouts, retries and
+    checkpoint/resume (mutually exclusive with ``executor``).
     ``telemetry`` (a :class:`~repro.obs.live.TelemetryHub`) streams
     observe-only live progress; mutually exclusive with ``executor``.
     """

@@ -78,8 +78,8 @@ flight record after the fact.
 Parallel execution
 ------------------
 ``figures``, ``scenario``, and ``simulate`` accept ``--jobs N`` and
-``--executor {serial,process,resilient}``.  ``--jobs N`` with ``N > 1``
-fans scenario work units out over a process pool (implying
+``--executor {serial,process}``.  ``--jobs N`` with ``N > 1`` fans work
+units out over a pool of long-lived worker processes (implying
 ``--executor process``); results are merged deterministically in seed
 order, so parallel output is byte-identical to serial output.
 ``--jobs`` below 1 is rejected, as is ``--executor serial`` combined
@@ -87,17 +87,17 @@ with ``--jobs`` above 1.  A ``simulate`` run is a single discrete-event
 work unit, so it gains nothing from ``--jobs`` — the flags are accepted
 for consistency and validated the same way.
 
-Resilient execution
--------------------
+Fault tolerance
+---------------
 ``--timeout S``, ``--retries N``, ``--checkpoint-dir DIR``, and
-``--resume`` select the fault-tolerant executor (each implies
-``--executor resilient``): every scenario attempt runs in its own worker
-process, a crashed or timed-out attempt is retried with exponential
-backoff, and completed results persist to a content-keyed checkpoint
-store so an interrupted sweep resumes instead of restarting.  Output
-stays byte-identical to a clean serial run regardless of faults.
-``--inject-fault KIND:INDEX`` (testing/CI) arms a deliberate crash,
-hang, or transient error against one work unit.
+``--resume`` set the pool's execution policy (each implies the pool;
+``--executor serial`` with any of them is a usage error): a unit whose
+worker crashed or ran past the timeout is retried with exponential
+backoff on a fresh worker, and completed results persist to a
+content-keyed checkpoint store so an interrupted sweep resumes instead
+of restarting.  Output stays byte-identical to a clean serial run
+regardless of faults.  ``--inject-fault KIND:INDEX`` (testing/CI) arms
+a deliberate crash, hang, or transient error against one work unit.
 """
 
 from __future__ import annotations
@@ -119,24 +119,24 @@ def _add_executor_args(parser: argparse.ArgumentParser) -> None:
         help="worker processes (N > 1 implies --executor process)",
     )
     parser.add_argument(
-        "--executor", choices=["serial", "process", "resilient"],
-        help="how scenario work units run (default: serial; process when "
-             "--jobs > 1; resilient when any resilience flag is given)",
+        "--executor", choices=["serial", "process"],
+        help="how work units run (default: serial; process when --jobs > 1 "
+             "or any fault-tolerance flag is given)",
     )
     parser.add_argument(
         "--timeout", type=float, metavar="S",
-        help="per-scenario wall-clock limit in seconds; a hung attempt "
-             "is killed and retried (implies --executor resilient)",
+        help="per-unit wall-clock limit in seconds; a hung worker is "
+             "killed and its unit retried (implies the pool)",
     )
     parser.add_argument(
         "--retries", type=int, metavar="N",
-        help="re-attempts per scenario after a crash, timeout, or "
-             "transient error (default 2; implies --executor resilient)",
+        help="re-attempts per unit after a crash, timeout, or transient "
+             "error (default 2; implies the pool)",
     )
     parser.add_argument(
         "--checkpoint-dir", metavar="DIR",
-        help="persist completed scenarios to a content-keyed store in DIR "
-             "(implies --executor resilient)",
+        help="persist completed units to a content-keyed store in DIR "
+             "(implies the pool)",
     )
     parser.add_argument(
         "--resume", action="store_true",
@@ -511,38 +511,38 @@ def _make_telemetry(args: argparse.Namespace):
 
 def _make_executor(args: argparse.Namespace, telemetry=None):
     """Build the executor requested by ``--jobs`` / ``--executor`` and the
-    resilience flags.
+    fault-tolerance flags.
 
     Any of ``--timeout`` / ``--retries`` / ``--checkpoint-dir`` /
-    ``--resume`` / ``--inject-fault`` implies ``--executor resilient``;
-    combining them with an explicit serial/process executor is a usage
-    error.  Exits with status 2 (usage error) on invalid combinations:
-    ``--jobs`` below 1, an explicit ``--executor serial`` with ``--jobs``
-    above 1, ``--resume`` without ``--checkpoint-dir``, or a malformed
-    ``--inject-fault``.
+    ``--resume`` / ``--inject-fault`` implies the process pool; combining
+    them with an explicit ``--executor serial`` is a usage error.  Exits
+    with status 2 (usage error) on invalid combinations: ``--jobs`` below
+    1, an explicit ``--executor serial`` with ``--jobs`` above 1 or with
+    a fault-tolerance flag, ``--resume`` without ``--checkpoint-dir``, or
+    a malformed ``--inject-fault``.
     """
     from repro.errors import ConfigurationError
     from repro.experiments.exec.executor import resolve_executor
 
     jobs = getattr(args, "jobs", 1)
     kind = getattr(args, "executor", None)
-    resilience_flags = (
+    policy_flags = (
         getattr(args, "timeout", None) is not None
         or getattr(args, "retries", None) is not None
         or getattr(args, "checkpoint_dir", None) is not None
         or getattr(args, "resume", False)
         or bool(getattr(args, "inject_fault", []))
     )
-    if kind is not None and kind != "resilient" and resilience_flags:
+    if kind == "serial" and policy_flags:
         print(
             "repro: error: --timeout/--retries/--checkpoint-dir/--resume/"
-            f"--inject-fault require --executor resilient, not {kind}",
+            "--inject-fault require the process pool, not --executor serial",
             file=sys.stderr,
         )
         raise SystemExit(2)
     try:
         policy = None
-        if kind == "resilient" or resilience_flags:
+        if policy_flags:
             from repro.experiments.exec.resilience import ExecPolicy
 
             policy_kwargs = {}
@@ -721,7 +721,7 @@ def _cmd_scenario(args: argparse.Namespace) -> int:
     telemetry = _make_telemetry(args)
     try:
         with _make_executor(args, telemetry=telemetry) as executor:
-            result, = executor.map_scenarios([config], obs=obs)
+            result, = executor.map_units([config], obs=obs)
     finally:
         if telemetry is not None:
             telemetry.close()
@@ -1262,7 +1262,7 @@ def _cmd_info(args: argparse.Namespace) -> int:
         ("repro.metrics", "RD/delay/cost metrics and confidence intervals"),
         ("repro.experiments", "figure drivers and parameter sweeps"),
         ("repro.experiments.exec",
-         "ExperimentSpec, executors, resilience, substrate cache"),
+         "ExperimentSpec, executors, execution policy, substrate cache"),
         ("repro.controller",
          "multi-group service: ServiceSpec, controller, sharded runs"),
         ("repro.obs",
@@ -1275,11 +1275,12 @@ def _cmd_info(args: argparse.Namespace) -> int:
     for name, description in components:
         print(f"  {name:24} {description}")
     print("\nparallel execution: figures/scenario/simulate accept "
-          "--jobs N and --executor {serial,process,resilient};\n"
-          "  --jobs N > 1 fans scenarios over a process pool with "
-          "deterministic seed-order merging.\n"
-          "resilient execution: --timeout S, --retries N, "
-          "--checkpoint-dir DIR, --resume;\n"
+          "--jobs N and --executor {serial,process};\n"
+          "  --jobs N > 1 fans scenarios over a pool of long-lived worker "
+          "processes with\n"
+          "  deterministic seed-order merging.\n"
+          "fault tolerance: --timeout S, --retries N, "
+          "--checkpoint-dir DIR, --resume (each implies the pool);\n"
           "  crashed/hung scenarios are retried with backoff and completed "
           "results persist for resume,\n"
           "  with output byte-identical to a clean serial run.\n"

@@ -19,7 +19,7 @@ that service:
   one-pass failure dispatch with per-group restoration accounting;
 - :mod:`repro.controller.service` — declarative runs:
   :class:`ServiceShard` work units that ride the standard executors
-  (serial, process pool, resilient with checkpoint/resume) and
+  (serial, process pool with checkpoint/resume) and
   :func:`run_service`, whose merged restoration table is byte-identical
   however the groups were sharded.
 """

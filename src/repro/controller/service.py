@@ -6,9 +6,9 @@ run; this module executes it.  The spec's group range is cut into
 of ``spec.shard_size`` groups — which implement the execution layer's
 work-unit protocol (``run(obs=..., cache=...)`` + ``content_key()`` +
 ``describe()``), so they ride every executor the scenario sweeps do:
-serial, process pool, and the resilient executor with
-checkpoint/resume (:class:`ShardResult` registers itself under the
-``"service_shard"`` checkpoint type tag).
+serial, and the process pool with checkpoint/resume
+(:class:`ShardResult` registers itself under the ``"service_shard"``
+checkpoint type tag).
 
 Because every per-group quantity is a pure function of
 ``(spec, group index)`` — sources, member sets, workloads, and the
@@ -16,9 +16,9 @@ failure all resolve from the spec and the shared topology — each shard
 builds only *its* groups yet produces exactly the rows a serial run
 would for those indices.  :func:`run_service` merges shard results in
 shard order and the resulting :class:`ServiceReport` renders
-byte-identically whether the run was serial, pooled, resilient, or
-resumed from a checkpoint (the determinism suite asserts this; the CI
-``controller-smoke`` job diffs the outputs for real).
+byte-identically whether the run was serial, pooled (faulted or not),
+or resumed from a checkpoint (the determinism suite asserts this;
+``benchmarks/test_goldens.py`` diffs the outputs for real).
 """
 
 from __future__ import annotations
@@ -297,7 +297,7 @@ def run_service(
     After the merge, one ``group.restore`` telemetry record per restored
     group is published on the executor's hub (if any) — parent-side and
     in group order, so the record stream is identical across executor
-    kinds (pool workers have no live telemetry channel).
+    kinds (pool workers send only heartbeats).
     """
     from repro.experiments.exec.executor import resolve_executor
 

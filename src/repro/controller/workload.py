@@ -11,8 +11,8 @@ Everything is a pure function of ``(spec, topology, group index)``.  In
 particular each group draws from its own
 ``default_rng([member_seed, topology_seed, index])`` stream, so a group
 generates identically whether it lands in a serial run, a process-pool
-worker, or a resumed resilient shard — the property the byte-identical
-sharding guarantee rests on.
+worker, or a shard resumed from a checkpoint — the property the
+byte-identical sharding guarantee rests on.
 """
 
 from __future__ import annotations

@@ -5,18 +5,17 @@ The pieces and how they fit:
 - :class:`ExperimentSpec` (``spec``) — frozen, hashable, JSON-serializable
   description of a whole sweep;
 - :class:`Executor` / :class:`SerialExecutor` / :class:`ParallelExecutor`
-  (``executor``) — how scenario work units run (in-process or over a
-  ``ProcessPoolExecutor``), with deterministic seed-order merging;
+  (``executor``) — how work units run: in-process, or on a pool of
+  long-lived worker processes, each on its own pipe; results merge
+  deterministically by batch index either way;
+- :class:`ExecPolicy` (``resilience``) — the envelope the pool enforces
+  around every unit: per-unit timeouts, bounded retry with backoff, and
+  checkpoint/resume through a :class:`CheckpointStore` (``checkpoint``);
 - :class:`SubstrateCache` (``cache``) — content-keyed topology + SPF
   route caches shared per executor / per worker process;
-- :class:`ResilientExecutor` / :class:`ExecPolicy` (``resilience``) — the
-  fault-tolerant backend: per-scenario timeouts, bounded retry with
-  backoff, crash isolation, and checkpoint/resume through a
-  :class:`CheckpointStore` (``checkpoint``);
-- ``worker`` — the picklable worker-process entry points, which also
-  emit lifecycle records and heartbeats for an attached
-  :class:`~repro.obs.live.TelemetryHub` (observe-only live progress,
-  flight recording, and hang attribution).
+- ``worker`` — the pool worker's main loop, which also sends heartbeats
+  for an attached :class:`~repro.obs.live.TelemetryHub` (observe-only
+  live progress, flight recording, and hang attribution).
 
 ``make_executor(kind, jobs, policy, telemetry)`` is the CLI-facing
 factory.  The public API is also re-exported at :mod:`repro.api`.
@@ -31,7 +30,7 @@ from repro.experiments.exec.executor import (
     SerialExecutor,
     make_executor,
 )
-from repro.experiments.exec.resilience import ExecPolicy, ResilientExecutor
+from repro.experiments.exec.resilience import ExecPolicy
 from repro.experiments.exec.spec import SWEEPABLE_PARAMETERS, ExperimentSpec
 
 __all__ = [
@@ -41,7 +40,6 @@ __all__ = [
     "Executor",
     "ExperimentSpec",
     "ParallelExecutor",
-    "ResilientExecutor",
     "SWEEPABLE_PARAMETERS",
     "SerialExecutor",
     "SubstrateCache",

@@ -1,92 +1,68 @@
-"""Fault-tolerant sweep execution: timeouts, retries, isolation, resume.
+"""The fault-tolerance policy of a parallel sweep.
 
 The paper's evaluation procedure is long sweeps of independent scenarios
 (100 per sweep point, §4.1) — exactly the workload where one hung or
-crashed worker must not cost the run.  This module supplies the
-robustness layer the plain executors deliberately omit:
+crashed worker must not cost the run.  :class:`ExecPolicy` is the
+envelope the :class:`~repro.experiments.exec.executor.ParallelExecutor`
+enforces around every work unit:
 
-- **crash isolation** — every scenario attempt runs in its *own* worker
-  process with a dedicated result pipe, so a dying worker loses one
-  attempt, never a pool (a ``ProcessPoolExecutor`` marks itself broken
-  and fails every in-flight future when any worker dies);
-- **wall-clock timeouts** — an attempt exceeding
-  :attr:`ExecPolicy.timeout` is killed and treated like a crash;
-- **bounded retry with exponential backoff** — crashed, timed-out, and
-  transiently erroring scenarios are re-attempted up to
-  :attr:`ExecPolicy.retries` times; a scenario that fails every attempt
+- **wall-clock timeouts** — a unit running past
+  :attr:`ExecPolicy.timeout` has its worker killed, which is then
+  treated like a crash;
+- **bounded retry with exponential backoff** — a unit whose worker
+  crashed or was killed, or which raised, is re-attempted up to
+  :attr:`ExecPolicy.retries` times; a unit that fails every attempt
   raises :class:`~repro.errors.RetryExhaustedError`;
 - **content-keyed checkpoint/resume** — completed results persist to a
   :class:`~repro.experiments.exec.checkpoint.CheckpointStore` keyed by
-  ``ScenarioConfig.content_key`` / ``ExperimentSpec.content_key``, so an
-  interrupted ``figures`` run resumes instead of restarting.
+  the unit's ``content_key()``, so an interrupted ``figures`` run
+  resumes instead of restarting;
+- **heartbeats** — the interval at which a worker reports the running
+  unit's open spans, so a timeout kill names the code path it hung in.
 
-Determinism is preserved: results are recorded by batch index and worker
-observability reports merge in seed order after the batch, so merged
-tables are byte-identical to a serial run no matter how many faults,
-retries, or checkpoint hits occurred along the way (the fault-injection
-suite asserts it).  Fault activity is visible in run reports as
-``exec.retries`` / ``exec.timeouts`` / ``exec.crashes`` /
-``exec.scenario_errors`` and ``exec.checkpoint.{hits,writes}``.
-
-Live telemetry rides the same pipes: when a
-:class:`~repro.obs.live.TelemetryHub` is attached (or a timeout is
-armed), each worker's dedicated result pipe also carries periodic
-``("telemetry", heartbeat)`` messages from a sampler thread, each
-holding the scenario's currently open span names.  The parent keeps the
-latest heartbeat per attempt, forwards everything to the hub's sinks,
-and — when it has to kill a hung worker — attaches that last span-stack
-snapshot to the ``scenario.timeout`` telemetry record and the
-``exec.timeout`` observability event, so a multi-hour sweep's hang is
-attributed to a code path instead of dying anonymously.  Telemetry is
-observe-only: results and merged reports are unchanged by any sink.
+Fault activity is visible in run reports as ``exec.retries`` /
+``exec.timeouts`` / ``exec.crashes`` / ``exec.scenario_errors`` and
+``exec.checkpoint.{hits,writes}``; none of it changes results.
 """
 
 from __future__ import annotations
 
-import os
-import time
 from dataclasses import dataclass
-from multiprocessing import get_context
-from multiprocessing.connection import wait as _connection_wait
-from typing import Sequence
 
-from repro.errors import ConfigurationError, RetryExhaustedError
-from repro.obs import NULL_OBS, Observability, merge_report_into
-from repro.experiments.exec.checkpoint import CheckpointStore
-from repro.experiments.exec.executor import Executor
-from repro.experiments.exec.spec import ExperimentSpec
-from repro.experiments.exec.worker import FAULT_KINDS, resilient_worker_main
+from repro.errors import ConfigurationError
 
-#: Extra wall-clock allowance for worker startup (interpreter boot and
-#: imports) before the ``ready`` handshake restarts the deadline.  Keeps
-#: a tight :attr:`ExecPolicy.timeout` from killing attempts that never
-#: got to run, while still bounding a worker wedged during startup.
+#: Extra wall-clock allowance for a fresh worker's startup (interpreter
+#: boot and imports) before its ``ready`` handshake restarts the first
+#: unit's deadline.  Keeps a tight :attr:`ExecPolicy.timeout` from
+#: killing units that never got to run, while still bounding a worker
+#: wedged during startup.
 STARTUP_GRACE = 30.0
 
 
 @dataclass(frozen=True)
 class ExecPolicy:
-    """Fault-tolerance envelope of a resilient sweep.
+    """Fault-tolerance envelope of a parallel sweep.
 
     Attributes
     ----------
     timeout:
-        Per-scenario wall-clock limit in seconds (``None``: no limit).
-        An attempt past its deadline is killed and retried.  The clock
-        starts at the worker's ``ready`` handshake — when the scenario
-        itself begins — not at process spawn, so interpreter startup on
-        spawn/forkserver platforms never eats a tight limit.
+        Per-unit wall-clock limit in seconds (``None``: no limit).  A
+        unit past its deadline has its worker killed and is retried.
+        The clock starts when the unit is handed to a ready worker; a
+        freshly started worker's first unit starts its clock at the
+        worker's ``ready`` handshake, so interpreter startup never eats
+        a tight limit.
     retries:
-        Re-attempts allowed per scenario after its first try; ``0`` turns
+        Re-attempts allowed per unit after its first try; ``0`` turns
         every fault into an immediate :class:`RetryExhaustedError`.
     backoff_base / backoff_cap:
         Retry ``n`` waits ``min(cap, base * 2**(n-1))`` seconds before
         redispatch (tests set ``backoff_base=0`` for speed).
     checkpoint_dir:
         Directory of the content-keyed result store; every completed
-        scenario is appended there.  ``None`` disables checkpointing.
+        unit is appended there.  ``None`` disables checkpointing.
     resume:
-        Serve scenarios already present in the checkpoint store from disk
+        Serve units already present in the checkpoint store from disk
         instead of recomputing them.  Requires ``checkpoint_dir``.
     heartbeat_interval:
         Seconds between worker heartbeats (each carrying the live
@@ -123,453 +99,3 @@ class ExecPolicy:
     def backoff(self, attempt: int) -> float:
         """Seconds to wait before retry number ``attempt`` (1-based)."""
         return min(self.backoff_cap, self.backoff_base * (2 ** (attempt - 1)))
-
-
-class _Task:
-    """One work unit's retry state inside a batch."""
-
-    __slots__ = ("index", "unit", "key", "attempt", "not_before")
-
-    def __init__(self, index: int, unit, key: str):
-        self.index = index
-        self.unit = unit
-        self.key = key  # unit.content_key(): checkpoint + telemetry id
-        self.attempt = 0  # attempts already failed
-        self.not_before = 0.0  # monotonic instant the next attempt may start
-
-
-class _Attempt:
-    """One live worker process executing a task attempt."""
-
-    __slots__ = ("task", "proc", "conn", "deadline", "started", "last_heartbeat")
-
-    def __init__(self, task: _Task, proc, conn, deadline: float | None):
-        self.task = task
-        self.proc = proc
-        self.conn = conn
-        self.deadline = deadline
-        self.started = time.monotonic()  # reset at the ready handshake
-        self.last_heartbeat: dict | None = None
-
-
-class ResilientExecutor(Executor):
-    """Fault-tolerant executor: one process per scenario attempt.
-
-    Spawning per attempt costs a few milliseconds of fork next to
-    scenarios that run for tens to hundreds — the price of being able to
-    kill a hung attempt outright and of confining any crash to exactly
-    one scenario.  Workers still share substrate state where it is free:
-    on fork-start platforms each child inherits whatever the parent's
-    process cache held.
-
-    ``inject_fault`` arms deterministic test faults (crash / hang /
-    error) against a batch index — the hook behind the fault-injection
-    suite and CI's resilience smoke job; production runs never set it.
-    """
-
-    kind = "resilient"
-
-    def __init__(
-        self,
-        jobs: int | None = None,
-        policy: ExecPolicy | None = None,
-        telemetry=None,
-    ) -> None:
-        if jobs is None:
-            jobs = os.cpu_count() or 1
-        if jobs < 1:
-            raise ConfigurationError(f"jobs must be >= 1, got {jobs}")
-        self.jobs = jobs
-        self.policy = policy if policy is not None else ExecPolicy()
-        self.telemetry = telemetry
-        self._ctx = get_context()
-        self._store = (
-            CheckpointStore(self.policy.checkpoint_dir)
-            if self.policy.checkpoint_dir is not None
-            else None
-        )
-        #: index -> (fault kind, persistent).  One-shot faults fire on the
-        #: first attempt of the matching work unit, then disarm.
-        self._fault_plan: dict[int, tuple[str, bool]] = {}
-
-    # ------------------------------------------------------------------
-    # Fault injection (testing hook)
-    # ------------------------------------------------------------------
-    def inject_fault(
-        self, index: int, fault: str, persistent: bool = False
-    ) -> None:
-        """Arm ``fault`` against batch work unit ``index``.
-
-        One-shot by default (first attempt only — the retry then
-        succeeds); ``persistent`` faults hit every attempt, which is how
-        the suite proves retry exhaustion fails loudly.
-        """
-        if fault not in FAULT_KINDS:
-            raise ConfigurationError(
-                f"unknown fault {fault!r}; expected one of {FAULT_KINDS}"
-            )
-        if index < 0:
-            raise ConfigurationError(f"fault index must be >= 0, got {index}")
-        self._fault_plan[index] = (fault, persistent)
-
-    # ------------------------------------------------------------------
-    # Executor interface
-    # ------------------------------------------------------------------
-    def map_units(
-        self,
-        units: Sequence,
-        obs: Observability | None = None,
-    ) -> list:
-        obs = obs if obs is not None else NULL_OBS
-        capture = obs.enabled
-        trace = obs.tracer is not None
-        hub = self.telemetry
-        if hub is not None:
-            hub.begin(
-                len(units), meta={"executor": self.kind, "jobs": self.jobs}
-            )
-        results: list = [None] * len(units)
-        reports: dict[int, dict] = {}
-        tasks: list[_Task] = []
-        try:
-            for index, unit in enumerate(units):
-                key = unit.content_key()
-                if self._store is not None and self.policy.resume:
-                    cached = self._store.get(key)
-                    if cached is not None:
-                        results[index] = cached
-                        obs.counter("exec.checkpoint.hits").inc()
-                        if hub is not None:
-                            hub.publish(
-                                "scenario.finish",
-                                index=index,
-                                attempt=0,
-                                key=key,
-                                cached=True,
-                            )
-                        continue
-                tasks.append(_Task(index, unit, key))
-            self._run_tasks(tasks, capture, trace, obs, results, reports)
-        finally:
-            # The flight recorder gets its sweep.finish record even when
-            # the batch dies to retry exhaustion or an interrupt — that
-            # is exactly when a post-mortem matters.
-            if hub is not None:
-                hub.end()
-        # Merge worker reports by batch (seed) index, never completion
-        # order, so the combined report is deterministic under retries.
-        for index in sorted(reports):
-            merge_report_into(obs, reports[index])
-        obs.counter("exec.scenarios").inc(len(units))
-        if capture:
-            obs.gauge("exec.jobs").set(self.jobs)
-            obs.counter("exec.worker_reports_merged").inc(len(reports))
-        assert all(r is not None for r in results)
-        return results  # type: ignore[return-value]
-
-    def run_sweep(self, spec: ExperimentSpec, obs=None):
-        if self._store is not None:
-            self._write_manifest(spec)
-        return super().run_sweep(spec, obs=obs)
-
-    def close(self) -> None:
-        if self._store is not None:
-            self._store.close()
-
-    # ------------------------------------------------------------------
-    # Scheduler
-    # ------------------------------------------------------------------
-    def _run_tasks(self, tasks, capture, trace, obs, results, reports) -> None:
-        hub = self.telemetry
-        waiting: list[_Task] = list(tasks)
-        running: list[_Attempt] = []
-        try:
-            while waiting or running:
-                now = time.monotonic()
-                ready = [t for t in waiting if t.not_before <= now]
-                while ready and len(running) < self.jobs:
-                    task = ready.pop(0)
-                    waiting.remove(task)
-                    running.append(self._start_attempt(task, capture, trace))
-                if running:
-                    self._poll(running, waiting, obs, results, reports)
-                else:
-                    # Every remaining task is backing off; sleep it out
-                    # (in tick-sized slices when a hub wants refreshes).
-                    wake = min(t.not_before for t in waiting)
-                    delay = wake - time.monotonic()
-                    if hub is not None:
-                        delay = min(delay, hub.tick_interval)
-                    if delay > 0:
-                        time.sleep(delay)
-                if hub is not None:
-                    hub.maybe_tick()
-        finally:
-            # Only reached non-empty on an exception (retry exhaustion or
-            # a caller interrupt): reap stragglers, leak no processes.
-            for attempt in running:
-                self._reap(attempt, kill=True)
-
-    def _poll(self, running, waiting, obs, results, reports) -> None:
-        hub = self.telemetry
-        now = time.monotonic()
-        wakeups = [a.deadline for a in running if a.deadline is not None]
-        if len(running) < self.jobs and waiting:
-            wakeups.append(min(t.not_before for t in waiting))
-        timeout = None if not wakeups else max(0.0, min(wakeups) - now)
-        if hub is not None:
-            # Keep waking at tick cadence so progress lines advance even
-            # while every worker is mid-scenario and silent.
-            timeout = (
-                hub.tick_interval
-                if timeout is None
-                else min(timeout, hub.tick_interval)
-            )
-        handles = []
-        for attempt in running:
-            handles.append(attempt.conn)
-            handles.append(attempt.proc.sentinel)
-        signalled = set(_connection_wait(handles, timeout))
-        now = time.monotonic()
-        for attempt in list(running):
-            # Drain every queued message — "ready" handshake and
-            # "telemetry" heartbeats arrive interleaved ahead of the
-            # single final ok/error message.  The handshake marks the
-            # instant the scenario actually starts, so the wall-clock
-            # deadline restarts there (interpreter startup doesn't count
-            # against the timeout on spawn/forkserver platforms).
-            final = None
-            dead = False
-            if attempt.conn in signalled or attempt.proc.sentinel in signalled:
-                while final is None and attempt.conn.poll():
-                    try:
-                        received = attempt.conn.recv()
-                    except (EOFError, OSError):
-                        dead = True
-                        break
-                    if received[0] == "ready":
-                        attempt.started = time.monotonic()
-                        if attempt.deadline is not None:
-                            attempt.deadline = (
-                                attempt.started + self.policy.timeout
-                            )
-                    elif received[0] == "telemetry":
-                        record = received[1]
-                        if record.get("kind") == "heartbeat":
-                            attempt.last_heartbeat = record
-                        if hub is not None:
-                            hub.forward(
-                                record,
-                                index=attempt.task.index,
-                                attempt=attempt.task.attempt,
-                            )
-                    else:
-                        final = received
-                if final is None and not dead and not attempt.proc.is_alive():
-                    dead = True
-            if final is not None and final[0] == "ok":
-                self._complete(attempt, final, running, obs, results, reports)
-            elif final is not None and final[0] == "error":
-                self._fail(
-                    attempt,
-                    "scenario_errors",
-                    f"worker raised {final[1]}",
-                    running,
-                    waiting,
-                    obs,
-                    remote_traceback=final[2],
-                )
-            elif dead:
-                self._fail(
-                    attempt,
-                    "crashes",
-                    f"worker died without a result "
-                    f"(exit code {attempt.proc.exitcode})",
-                    running,
-                    waiting,
-                    obs,
-                )
-            elif attempt.deadline is not None and now >= attempt.deadline:
-                # Checked even when the pipe was signalled: a hung worker
-                # whose heartbeat thread keeps the pipe busy must not be
-                # able to starve its own deadline.
-                self._fail(
-                    attempt,
-                    "timeouts",
-                    f"exceeded the {self.policy.timeout:g}s wall-clock "
-                    "timeout and was killed",
-                    running,
-                    waiting,
-                    obs,
-                    kill=True,
-                )
-
-    def _start_attempt(
-        self, task: _Task, capture: bool, trace: bool = False
-    ) -> _Attempt:
-        fault = None
-        armed = self._fault_plan.get(task.index)
-        if armed is not None:
-            kind, persistent = armed
-            if persistent:
-                fault = kind
-            elif task.attempt == 0:
-                fault = kind
-                del self._fault_plan[task.index]
-        # Heartbeats flow whenever someone can use them: a live hub, or
-        # an armed timeout (hang attribution needs the span snapshots
-        # even without sinks).
-        heartbeat = (
-            self.policy.heartbeat_interval
-            if (self.telemetry is not None or self.policy.timeout is not None)
-            else None
-        )
-        recv_conn, send_conn = self._ctx.Pipe(duplex=False)
-        proc = self._ctx.Process(
-            target=resilient_worker_main,
-            args=(send_conn, task.unit, capture, fault, heartbeat, trace),
-            daemon=True,
-            name=f"repro-scenario-{task.index}",
-        )
-        proc.start()
-        send_conn.close()  # the worker holds the only send end now
-        if self.telemetry is not None:
-            self.telemetry.publish(
-                "scenario.start",
-                index=task.index,
-                attempt=task.attempt,
-                key=task.key,
-                pid=proc.pid,
-            )
-        # The provisional deadline grants startup its own grace; the
-        # worker's "ready" handshake replaces it with a clean
-        # ``now + timeout`` once the scenario actually begins.
-        deadline = (
-            time.monotonic() + self.policy.timeout + STARTUP_GRACE
-            if self.policy.timeout is not None
-            else None
-        )
-        return _Attempt(task, proc, recv_conn, deadline)
-
-    def _complete(self, attempt, message, running, obs, results, reports) -> None:
-        _, result, report = message
-        task = attempt.task
-        running.remove(attempt)
-        self._reap(attempt)
-        results[task.index] = result
-        if report is not None:
-            reports[task.index] = report
-        if self.telemetry is not None:
-            self.telemetry.publish(
-                "scenario.finish",
-                index=task.index,
-                attempt=task.attempt,
-                key=task.key,
-                duration_s=round(time.monotonic() - attempt.started, 6),
-            )
-        if self._store is not None:
-            if self._store.put(task.key, result, describe=task.unit.describe()):
-                obs.counter("exec.checkpoint.writes").inc()
-
-    def _fail(
-        self,
-        attempt,
-        counter: str,
-        reason: str,
-        running,
-        waiting,
-        obs,
-        remote_traceback: str | None = None,
-        kill: bool = False,
-    ) -> None:
-        task = attempt.task
-        running.remove(attempt)
-        self._reap(attempt, kill=kill)
-        obs.counter(f"exec.{counter}").inc()
-        spans: list | None = None
-        if counter == "timeouts":
-            # Hang attribution: the last heartbeat's span-stack snapshot
-            # is the best available answer to "where was it stuck?".
-            heartbeat = attempt.last_heartbeat
-            if heartbeat is not None:
-                spans = heartbeat.get("spans") or []
-            obs.emit(
-                "exec.timeout",
-                index=task.index,
-                attempt=task.attempt,
-                spans=spans,
-            )
-            if spans:
-                reason = f"{reason}; last seen in span {' > '.join(spans)}"
-        if self.telemetry is not None:
-            record_kind = {
-                "timeouts": "scenario.timeout",
-                "crashes": "scenario.crash",
-                "scenario_errors": "scenario.error",
-            }[counter]
-            fields: dict = {
-                "index": task.index,
-                "attempt": task.attempt,
-                "key": task.key,
-                "reason": reason,
-            }
-            if counter == "timeouts":
-                fields["timeout_s"] = self.policy.timeout
-                fields["spans"] = spans
-                if attempt.last_heartbeat is not None:
-                    fields["last_heartbeat_elapsed_s"] = (
-                        attempt.last_heartbeat.get("elapsed_s")
-                    )
-            self.telemetry.publish(record_kind, **fields)
-        if task.attempt >= self.policy.retries:
-            detail = reason
-            if remote_traceback:
-                detail = f"{reason}\n{remote_traceback}"
-            raise RetryExhaustedError(
-                task.index, task.unit.describe(), task.attempt + 1, detail
-            )
-        task.attempt += 1
-        obs.counter("exec.retries").inc()
-        backoff = self.policy.backoff(task.attempt)
-        task.not_before = time.monotonic() + backoff
-        waiting.append(task)
-        if self.telemetry is not None:
-            self.telemetry.publish(
-                "scenario.retry",
-                index=task.index,
-                attempt=task.attempt,
-                key=task.key,
-                reason=reason,
-                backoff_s=round(backoff, 6),
-            )
-
-    def _reap(self, attempt: _Attempt, kill: bool = False) -> None:
-        try:
-            attempt.conn.close()
-        except OSError:
-            pass
-        proc = attempt.proc
-        if kill and proc.is_alive():
-            proc.terminate()
-            proc.join(2.0)
-            if proc.is_alive():
-                proc.kill()
-        proc.join(5.0)
-
-    # ------------------------------------------------------------------
-    # Checkpoint manifest
-    # ------------------------------------------------------------------
-    def _write_manifest(self, spec: ExperimentSpec) -> None:
-        """Archive the sweep's spec next to its results, named by its
-        content key, so a checkpoint directory is self-describing."""
-        path = self._store.directory / f"manifest-{spec.content_key()}.json"
-        if not path.exists():
-            path.write_text(spec.to_json() + "\n", encoding="utf-8")
-
-    def __repr__(self) -> str:
-        store = "" if self._store is None else f", store={self._store!r}"
-        return (
-            f"ResilientExecutor(jobs={self.jobs}, "
-            f"timeout={self.policy.timeout}, retries={self.policy.retries}"
-            f"{store})"
-        )

@@ -1,49 +1,39 @@
-"""Worker-process entry points for the parallel executor.
+"""Worker-process side of the parallel executor.
 
-Everything here must be importable by name in a fresh interpreter (the
-``ProcessPoolExecutor`` contract): the task function is a module-level
-callable, its payload and return value are plain picklable values.
+Everything here runs inside a pool worker started by
+:class:`~repro.experiments.exec.executor.ParallelExecutor`.  A worker
+boots once, sends a ``("ready",)`` handshake on its own pipe, then runs
+work units one at a time until the parent sends ``None`` (or closes the
+pipe).  Units run against the per-process substrate cache
+(:func:`~repro.experiments.exec.cache.process_cache`), so every unit a
+worker executes reuses the topologies and SPF state its predecessors
+built.
 
-A work unit travels as ``(unit, capture_obs, telemetry, trace)`` and
-comes back as ``(result, worker run-report | None, telemetry records)``.
 A unit is either a :class:`~repro.experiments.scenario.ScenarioConfig`
 (executed via :func:`~repro.experiments.runner.run_scenario`) or any
 object with a ``run(obs=..., cache=...)`` method — the seam that lets
 the controller's service shards ride the same executors as scenario
-sweeps (:func:`execute_unit` dispatches).  The worker runs each unit
-against the per-process substrate cache
-(:func:`~repro.experiments.exec.cache.process_cache`), so units landing
-on the same worker share generated topologies and SPF state.
-When observability capture is on, each task records into a fresh
-:class:`~repro.obs.Observability` and ships back its run report; the
-parent merges reports in seed order (:mod:`repro.obs.merge`), keeping the
-combined report deterministic regardless of completion order.  When
-restoration tracing is on (``trace``), the worker additionally attaches
-a fresh :class:`~repro.obs.tracing.RestorationTracer`; its episodes
-ride back inside the run report's ``tracing`` section, and the parent's
-merge (:func:`~repro.obs.merge.merge_report_into`) absorbs them —
-episode ids are seeded from each scenario's content key, so the merged
-episode set is identical to a serial run's regardless of worker
-placement.  When telemetry is on, the worker stamps ``scenario.start``
-/ ``scenario.finish`` lifecycle records (wall-clock time, pid,
-duration, the scenario content key) that ride back on the same result
-channel for the parent's :class:`~repro.obs.live.TelemetryHub`.
+sweeps (:func:`execute_unit` dispatches).
 
-Two entry points:
+The pipe protocol, per unit:
 
-- :func:`run_unit_task` — the pool task of the
-  :class:`~repro.experiments.exec.executor.ParallelExecutor`; its result
-  tuple is the only channel back, so lifecycle records are delivered
-  with the result (a pool worker has no side channel for mid-scenario
-  heartbeats — that is the resilient executor's dedicated-pipe
-  privilege);
-- :func:`resilient_worker_main` — the process main of one
-  :class:`~repro.experiments.exec.resilience.ResilientExecutor` attempt,
-  speaking the multi-message pipe protocol described there: a ``ready``
-  handshake, periodic ``telemetry`` heartbeats from a sampler thread
-  (each carrying the live span-stack snapshot, which is what makes hang
-  attribution possible), then exactly one final ``ok``/``error``
-  message (and honouring the executor's injected test faults).
+- parent → worker: ``(unit, capture_obs, trace, heartbeat_interval,
+  fault)``;
+- worker → parent: zero or more ``("telemetry", heartbeat)`` messages
+  from a sampler thread (each carrying the unit's currently open span
+  names — what makes hang attribution possible), then exactly one final
+  message: ``("ok", result, run-report | None)`` or ``("error",
+  summary, traceback)`` when the unit raised.
+
+When observability capture is on, each unit records into a fresh
+:class:`~repro.obs.Observability` and ships its run report back; the
+parent merges reports by batch index (:mod:`repro.obs.merge`), keeping
+the combined report deterministic regardless of completion order.  When
+restoration tracing is on (``trace``), the worker also attaches a fresh
+:class:`~repro.obs.tracing.RestorationTracer`; its episodes ride back
+inside the run report's ``tracing`` section — episode ids are seeded
+from each unit's content key, so the merged episode set equals a serial
+run's regardless of worker placement.
 """
 
 from __future__ import annotations
@@ -52,20 +42,19 @@ import os
 import threading
 import time
 import traceback
-from time import perf_counter
 
 from repro.errors import ExecutionError
 from repro.experiments.runner import run_scenario
 from repro.experiments.scenario import ScenarioConfig
 from repro.experiments.exec.cache import process_cache
 
-#: Fault kinds the resilient executor may inject for testing: die without
-#: a word, never answer, or raise a transient in-scenario error.
+#: Fault kinds the executor may inject for testing: die without a word,
+#: never answer, or raise a transient in-unit error.
 FAULT_KINDS = ("crash", "hang", "error")
 
 #: How long a "hang" fault sleeps — effectively forever next to any
-#: realistic per-scenario timeout; the parent kills the process long
-#: before this elapses.
+#: realistic per-unit timeout; the parent kills the process long before
+#: this elapses.
 _HANG_SECONDS = 3600.0
 
 #: Span the injected "hang" fault sleeps under, so heartbeat snapshots
@@ -95,50 +84,13 @@ def execute_unit(unit, obs=None, cache=None):
     return run(obs=obs, cache=cache)
 
 
-def run_unit_task(task: tuple) -> tuple:
-    """Execute one work unit inside a pool worker process."""
-    config, capture_obs, telemetry, trace = task
-    records: list[dict] = []
-    key = config.content_key()
-    if telemetry:
-        records.append(
-            {"kind": "scenario.start", "t": round(time.time(), 6),
-             "pid": os.getpid(), "key": key}
-        )
-    started = perf_counter()
-    if capture_obs or trace:
-        from repro.obs import Observability, build_run_report
-
-        obs = Observability(enabled=capture_obs)
-        if trace:
-            from repro.obs.tracing import RestorationTracer
-
-            obs.tracer = RestorationTracer()
-        result = execute_unit(config, obs=obs, cache=process_cache())
-        report = build_run_report(obs)
-    else:
-        result = execute_unit(config, cache=process_cache())
-        report = None
-    if telemetry:
-        records.append(
-            {"kind": "scenario.finish", "t": round(time.time(), 6),
-             "pid": os.getpid(), "key": key,
-             "duration_s": round(perf_counter() - started, 6)}
-        )
-    return result, report, records
-
-
-#: Backwards-compatible name from when scenarios were the only unit kind.
-run_scenario_task = run_unit_task
-
-
 class _HeartbeatSampler(threading.Thread):
-    """Worker-side heartbeat thread: periodically ships the live
-    span-stack snapshot up the result pipe.
+    """Worker-side heartbeat thread: periodically ships the running
+    unit's span-stack snapshot up the worker's pipe.
 
-    Runs as a daemon so a wedged scenario cannot be kept alive by its
-    own monitor; sends go through the worker's pipe lock so heartbeats
-    never interleave with the final result message.
+    Runs as a daemon so a wedged unit cannot be kept alive by its own
+    monitor; sends go through the worker's pipe lock so heartbeats
+    never interleave with a final result message.
     """
 
     def __init__(self, send, profiler, interval: float) -> None:
@@ -160,53 +112,23 @@ class _HeartbeatSampler(threading.Thread):
             }
             try:
                 self._send(("telemetry", record))
-            except (OSError, ValueError, BrokenPipeError):
+            except (OSError, ValueError):
                 return  # parent gone; nothing left to report to
 
 
-def resilient_worker_main(
-    conn,
-    unit,
-    capture_obs: bool,
-    fault: str | None = None,
-    heartbeat_interval: float | None = None,
-    trace: bool = False,
-) -> None:
-    """Process main of one resilient work-unit attempt.
+def _run_unit(send, unit, capture_obs, trace, heartbeat_interval, fault):
+    """Run one unit and return its final message.
 
-    The worker first sends a ``("ready",)`` handshake — the parent
-    restarts the per-attempt wall-clock deadline on it, so interpreter
-    startup and imports (which on spawn/forkserver platforms can rival a
-    tight :attr:`~repro.experiments.exec.resilience.ExecPolicy.timeout`)
-    do not count against the scenario.  When ``heartbeat_interval`` is
-    set, a sampler thread then emits ``("telemetry", record)`` heartbeat
-    messages every interval, each carrying the scenario's currently open
-    span names — the parent keeps the latest one per attempt and attaches
-    it to the timeout record if it has to kill this worker (hang
-    attribution).  Exactly one *final* message follows:
-
-    - ``("ok", ScenarioResult, run-report | None)`` on success;
-    - ``("error", summary, traceback)`` when the scenario raised — a
-      *transient* failure the parent may retry.
-
-    A worker that dies without sending a final message (a real crash, an
-    OOM kill, or the injected ``"crash"`` fault) is detected by the
-    parent through the process sentinel; one that never answers
-    (``"hang"``) is terminated at the policy's wall-clock timeout.
-    ``fault`` is the executor's test-injection hook and does nothing in
-    production runs.  ``trace`` attaches a restoration tracer; its
-    episodes ship back inside the run report's ``tracing`` section (the
-    report then ships even when ``capture_obs`` is off).
+    An exception from the unit becomes an ``("error", ...)`` message — a
+    *transient* failure the parent may retry.  An interrupt (e.g. Ctrl-C
+    hitting the whole process group) is the parent unwinding, not a unit
+    failure, so it propagates: the parent then sees a plain dead worker
+    instead of burning retries on attempts that would be interrupted
+    again.  ``fault`` is the executor's test-injection hook and does
+    nothing in production runs.
     """
-    send_lock = threading.Lock()
-
-    def send(message):
-        with send_lock:
-            conn.send(message)
-
     sampler = None
     try:
-        send(("ready",))
         from repro.obs import Observability, build_run_report
 
         # Spans must be live whenever heartbeats are on — the snapshot
@@ -229,29 +151,45 @@ def resilient_worker_main(
         if fault == "error":
             raise RuntimeError("injected transient error")
         result = execute_unit(unit, obs=obs, cache=process_cache())
-        report = (
-            build_run_report(obs) if (capture_obs or trace) else None
-        )
-        send(("ok", result, report))
-    except (KeyboardInterrupt, SystemExit):
-        # An interrupt (e.g. Ctrl-C hitting the whole process group) is
-        # the parent unwinding, not a transient scenario failure: saying
-        # nothing lets the parent's own shutdown see a plain dead worker
-        # instead of burning retries on attempts that will be interrupted
-        # again.
-        raise
-    except BaseException as exc:  # noqa: BLE001 - the pipe is the error channel
-        try:
-            send(
-                ("error", f"{type(exc).__name__}: {exc}", traceback.format_exc())
-            )
-        except OSError:
-            pass  # parent already gone; exiting is all that is left
+        report = build_run_report(obs) if (capture_obs or trace) else None
+        return ("ok", result, report)
+    except Exception as exc:  # noqa: BLE001 - the pipe is the error channel
+        return ("error", f"{type(exc).__name__}: {exc}", traceback.format_exc())
     finally:
+        # Stopped before the final message goes out, so no heartbeat of
+        # this unit can arrive after the parent has moved on.
         if sampler is not None:
             sampler.stop.set()
             sampler.join(timeout=2.0)
-        try:
-            conn.close()
-        except OSError:
-            pass
+
+
+def worker_main(conn) -> None:
+    """Process main of one pool worker.
+
+    Sends ``("ready",)`` once — the parent restarts the first unit's
+    deadline on it, so interpreter startup never counts against a unit's
+    timeout — then answers every unit message with exactly one final
+    message (see the module docstring) until the parent sends ``None``
+    or closes its end.  A worker that dies mid-unit (a real crash, an
+    OOM kill, or the injected ``"crash"`` fault) is detected by the
+    parent through the process sentinel; one that never answers
+    (``"hang"``) is killed at the policy's wall-clock timeout.
+    """
+    send_lock = threading.Lock()
+
+    def send(message) -> None:
+        with send_lock:
+            conn.send(message)
+
+    try:
+        send(("ready",))
+        while True:
+            try:
+                task = conn.recv()
+            except EOFError:
+                return  # parent gone
+            if task is None:
+                return
+            send(_run_unit(send, *task))
+    finally:
+        conn.close()

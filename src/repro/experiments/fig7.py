@@ -120,7 +120,7 @@ def run_figure7(
     if executor is None:
         executor = SerialExecutor()
     try:
-        scenarios = executor.map_scenarios(configs, obs=obs)
+        scenarios = executor.map_units(configs, obs=obs)
     finally:
         if owned:
             executor.close()

@@ -18,9 +18,9 @@ concatenated into **one** executor batch (so a process pool interleaves
 engines freely) and results are re-grouped by engine afterwards.
 Because hdr histograms derive every reported value from merged integer
 bucket counts — never a running float sum — the table is byte-identical
-across serial, pooled, resilient, and checkpoint-resumed executors (the
-CI ``dist-smoke`` job diffs it for real; shard checkpoints reuse the
-``"service_shard"`` type).
+across serial, pooled, faulted, and checkpoint-resumed runs
+(``benchmarks/test_goldens.py`` diffs it for real; shard checkpoints
+reuse the ``"service_shard"`` type).
 """
 
 from __future__ import annotations

@@ -21,7 +21,7 @@ counts, and the standing state each mode pays for its speed:
 
 Every :class:`ProtectionPoint` is a work unit on the standard executor
 protocol (``run(obs=..., cache=...)`` / ``content_key()`` /
-``describe()``), so the family runs serial, pooled, or resilient with
+``describe()``), so the family runs serial, or pooled with
 checkpoint/resume — :class:`ProtectionPointResult` registers under the
 ``"protection_point"`` checkpoint type — and the rendered table is
 byte-identical across all of them (the CI ``protection-smoke`` job
@@ -320,7 +320,7 @@ class ProtectionFigureResult:
 
     Aggregation and rendering depend only on the merged results (in
     work-unit order) — never on executor kind or scheduling — which is
-    what the serial/pooled/resilient byte-identity guarantee is
+    what the serial/pooled/resumed byte-identity guarantee is
     asserted against.
     """
 

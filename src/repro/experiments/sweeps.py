@@ -124,7 +124,7 @@ def run_sweep(
             base = label_fn(value)
             configs = scenario_grid(base, topologies, member_sets, seed_offset)
             with obs.span(f"sweep.point.{value:g}"):
-                results = executor.map_scenarios(configs, obs=obs)
+                results = executor.map_units(configs, obs=obs)
             points.append(
                 SweepPoint(label=f"{value:g}", parameter=value, scenarios=results)
             )

@@ -16,7 +16,7 @@ The hard invariant is that telemetry is **observe-only**: the hub never
 touches the caller's :class:`~repro.obs.Observability`, sinks write to
 stderr or side files (never stdout), and a raising sink is quarantined
 rather than allowed to kill the sweep — golden figures stay
-byte-identical with every sink enabled (CI's resilience-smoke job
+byte-identical with every sink enabled (``benchmarks/test_goldens.py``
 proves it).
 
 Record format

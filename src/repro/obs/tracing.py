@@ -37,8 +37,8 @@ attribution over critical paths is what :class:`TraceAnalyzer` reports.
 Tracing is observe-only by contract: enabling it never changes computed
 results, rendered tables, or RNG state.  All identifiers are derived
 from scenario content keys and per-scenario sequence numbers — never
-from wall clocks or pids — so serial, process-parallel, and resilient
-runs produce byte-identical trace files and analyses.
+from wall clocks or pids — so serial and process-parallel runs, faulted
+or not, produce byte-identical trace files and analyses.
 """
 
 from __future__ import annotations
@@ -386,8 +386,8 @@ class RestorationTracer:
     One tracer lives on the :class:`~repro.obs.Observability` facade
     (``obs.tracer``).  Worker processes ship their episodes home inside
     the run report's ``tracing`` section; :func:`absorb` folds them in
-    with *summed* drop accounting, so parallel and resilient executors
-    produce exactly the episodes a serial run would.
+    with *summed* drop accounting, so the process pool produces exactly
+    the episodes a serial run would.
     """
 
     def __init__(self, max_episodes: int | None = DEFAULT_MAX_EPISODES) -> None:
@@ -457,8 +457,8 @@ class RestorationTracer:
         Re-runs of the same scenario config produce the same base episode
         ids; the second and later emissions are renamed ``<id>#<n>`` so
         ids stay unique across a batch.  Episodes arrive in seed order in
-        every executor (serial emits in run order, parallel/resilient
-        merge worker reports by batch index), so the renaming — and with
+        every executor (serial emits in run order, the pool merges
+        worker reports by batch index), so the renaming — and with
         it the trace file — is identical regardless of how the batch ran.
         """
         if (

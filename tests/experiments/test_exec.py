@@ -279,14 +279,14 @@ class TestDeterminism:
 
     def test_parallel_jobs_one_works(self):
         with ParallelExecutor(jobs=1) as ex:
-            (result,) = ex.map_scenarios(
+            (result,) = ex.map_units(
                 [ScenarioConfig(n=24, group_size=5, alpha=0.5)]
             )
         assert len(result.members) == 5
 
     def test_disabled_obs_ships_no_worker_reports(self):
         with ParallelExecutor(jobs=2) as ex:
-            results = ex.map_scenarios(
+            results = ex.map_units(
                 [
                     ScenarioConfig(n=24, group_size=5, alpha=0.5),
                     ScenarioConfig(n=24, group_size=5, alpha=0.5, member_seed=1),
@@ -304,7 +304,7 @@ class TestExecutorLifecycle:
 
     def test_close_is_idempotent(self):
         ex = ParallelExecutor(jobs=1)
-        ex.map_scenarios([ScenarioConfig(n=20, group_size=4, alpha=0.5)])
+        ex.map_units([ScenarioConfig(n=20, group_size=4, alpha=0.5)])
         ex.close()
         ex.close()
 
@@ -312,7 +312,7 @@ class TestExecutorLifecycle:
         obs = Observability()
         config = ScenarioConfig(n=24, group_size=5, alpha=0.5)
         with SerialExecutor() as ex:
-            ex.map_scenarios([config], obs=obs)
-            ex.map_scenarios([config], obs=obs)
+            ex.map_units([config], obs=obs)
+            ex.map_units([config], obs=obs)
         counters = obs.metrics.snapshot()["counters"]
         assert counters["cache.topology.hits"] >= 1

@@ -1,10 +1,10 @@
 """Protection-family figure: determinism and checkpoint round-trips.
 
 The figure's table must be byte-identical whether the grid ran serially,
-over a process pool, under the resilient executor, or resumed from a
-half-finished checkpoint store — the same merge contract every other
-figure family honours (and the CI ``protection-smoke`` job diffs for
-real).
+over a process pool, checkpointed under an execution policy, or resumed
+from a half-finished checkpoint store — the same merge contract every
+other figure family honours (and ``benchmarks/test_goldens.py`` diffs
+for real).
 """
 
 import pytest
@@ -13,7 +13,6 @@ from repro.errors import CheckpointError, ConfigurationError
 from repro.experiments.exec import (
     ExecPolicy,
     ParallelExecutor,
-    ResilientExecutor,
     SerialExecutor,
 )
 from repro.experiments.exec.checkpoint import CheckpointStore
@@ -91,7 +90,7 @@ class TestExecutorByteIdentity:
         policy = ExecPolicy(
             checkpoint_dir=str(tmp_path), resume=True, backoff_base=0.0
         )
-        with ResilientExecutor(jobs=2, policy=policy) as ex:
+        with ParallelExecutor(jobs=2, policy=policy) as ex:
             resilient = run_protection_figure(executor=ex, **QUICK).render()
         assert resilient == serial_render
 
@@ -99,11 +98,11 @@ class TestExecutorByteIdentity:
         policy = ExecPolicy(
             checkpoint_dir=str(tmp_path), resume=True, backoff_base=0.0
         )
-        with ResilientExecutor(jobs=2, policy=policy) as ex:
+        with ParallelExecutor(jobs=2, policy=policy) as ex:
             first = run_protection_figure(executor=ex, **QUICK).render()
         # Every point is now checkpointed; the rerun must be served from
         # the store and still render identically.
-        with ResilientExecutor(jobs=2, policy=policy) as ex:
+        with ParallelExecutor(jobs=2, policy=policy) as ex:
             resumed = run_protection_figure(executor=ex, **QUICK).render()
         assert first == serial_render
         assert resumed == serial_render

@@ -1,4 +1,4 @@
-"""The fault-tolerant executor: crashes, hangs, retries, and resume.
+"""The process pool's fault tolerance: crashes, hangs, retries, resume.
 
 The load-bearing guarantee under test: a sweep's results — down to the
 byte in the rendered figure table — are **identical** whether the run was
@@ -16,14 +16,14 @@ from repro.experiments.exec import (
     CheckpointStore,
     ExecPolicy,
     ExperimentSpec,
-    ResilientExecutor,
+    ParallelExecutor,
     SerialExecutor,
     make_executor,
 )
 from repro.experiments.exec.checkpoint import RESULTS_FILENAME
 from repro.experiments.runner import ScenarioResult
 from repro.experiments.scenario import ScenarioConfig
-from repro.obs import Observability
+from repro.obs import Observability, TelemetryHub, TelemetrySink
 
 #: Small but non-trivial spec: 2 swept values x 2 topologies x 2 member
 #: sets = 8 scenario work units.
@@ -86,23 +86,21 @@ class TestExecPolicy:
 
 
 class TestMakeExecutor:
-    def test_resilient_kind(self):
-        with make_executor("resilient", jobs=2) as ex:
-            assert isinstance(ex, ResilientExecutor)
-            assert ex.kind == "resilient" and ex.jobs == 2
-
-    def test_policy_requires_resilient_kind(self):
-        with pytest.raises(ConfigurationError, match="resilient"):
+    def test_policy_requires_the_pool(self):
+        with pytest.raises(ConfigurationError, match="--executor process"):
             make_executor("serial", policy=ExecPolicy())
-        with pytest.raises(ConfigurationError, match="resilient"):
-            make_executor("process", jobs=2, policy=ExecPolicy())
+        policy = ExecPolicy(retries=5)
+        with make_executor("process", jobs=2, policy=policy) as ex:
+            assert isinstance(ex, ParallelExecutor)
+            assert ex.kind == "process" and ex.jobs == 2
+            assert ex.policy is policy
 
     def test_rejects_bad_jobs(self):
         with pytest.raises(ConfigurationError):
-            ResilientExecutor(jobs=0)
+            ParallelExecutor(jobs=0)
 
     def test_rejects_unknown_fault(self):
-        with ResilientExecutor(jobs=1) as ex:
+        with ParallelExecutor(jobs=1) as ex:
             with pytest.raises(ConfigurationError):
                 ex.inject_fault(0, "gremlin")
             with pytest.raises(ConfigurationError):
@@ -111,9 +109,37 @@ class TestMakeExecutor:
 
 class TestCleanRunParity:
     def test_matches_serial_run_exactly(self, serial_points):
-        with ResilientExecutor(jobs=2, policy=ExecPolicy(**FAST)) as ex:
+        with ParallelExecutor(jobs=2, policy=ExecPolicy(**FAST)) as ex:
             points = ex.run_sweep(SPEC)
         assert results_digest(points) == results_digest(serial_points)
+
+    def test_workers_keep_their_substrate_cache(self):
+        # Long-lived workers run every unit against one warm cache, so
+        # the 8 units' 2 topologies are generated at most once per worker.
+        serial_obs, pooled_obs = Observability(), Observability()
+        with SerialExecutor() as ex:
+            ex.run_sweep(SPEC, obs=serial_obs)
+        with ParallelExecutor(jobs=2, policy=ExecPolicy(**FAST)) as ex:
+            ex.run_sweep(SPEC, obs=pooled_obs)
+        serial = serial_obs.metrics.counters("cache.topology")
+        pooled = pooled_obs.metrics.counters("cache.topology")
+        assert pooled.get("cache.topology.hits", 0) > 0
+        assert (
+            pooled.get("cache.topology.hits", 0)
+            + pooled.get("cache.topology.misses", 0)
+            == serial["cache.topology.hits"] + serial["cache.topology.misses"]
+        )
+
+
+class StartPids(TelemetrySink):
+    """Collects the worker pid every unit attempt started on."""
+
+    def __init__(self) -> None:
+        self.pids = []
+
+    def handle(self, record):
+        if record["kind"] == "scenario.start":
+            self.pids.append(record["pid"])
 
 
 class TestFaultRecovery:
@@ -121,7 +147,7 @@ class TestFaultRecovery:
         self, serial_points
     ):
         obs = Observability()
-        with ResilientExecutor(
+        with ParallelExecutor(
             jobs=2, policy=ExecPolicy(retries=2, **FAST)
         ) as ex:
             ex.inject_fault(0, "crash")
@@ -133,7 +159,7 @@ class TestFaultRecovery:
 
     def test_hung_worker_is_killed_at_the_timeout(self, serial_points):
         obs = Observability()
-        with ResilientExecutor(
+        with ParallelExecutor(
             jobs=2, policy=ExecPolicy(timeout=1.0, retries=2, **FAST)
         ) as ex:
             ex.inject_fault(1, "hang")
@@ -143,9 +169,27 @@ class TestFaultRecovery:
         assert counters["exec.retries"] == 1
         assert results_digest(points) == results_digest(serial_points)
 
+    @pytest.mark.parametrize(
+        "fault, timeout", [("crash", None), ("hang", 1.0)]
+    )
+    def test_fault_replaces_only_the_dead_worker(
+        self, serial_points, fault, timeout
+    ):
+        # 8 units on 2 workers: the faulted worker alone is replaced, so
+        # its unit's retry and everything else run on 3 processes in all.
+        sink = StartPids()
+        policy = ExecPolicy(timeout=timeout, retries=2, **FAST)
+        with TelemetryHub(sinks=[sink]) as hub:
+            with ParallelExecutor(jobs=2, policy=policy, telemetry=hub) as ex:
+                ex.inject_fault(1, fault)
+                points = ex.run_sweep(SPEC)
+        assert len(sink.pids) == 9  # 8 units + 1 retry
+        assert len(set(sink.pids)) == 3
+        assert results_digest(points) == results_digest(serial_points)
+
     def test_transient_error_retries_then_succeeds(self, serial_points):
         obs = Observability()
-        with ResilientExecutor(
+        with ParallelExecutor(
             jobs=2, policy=ExecPolicy(retries=1, **FAST)
         ) as ex:
             ex.inject_fault(3, "error")
@@ -157,24 +201,24 @@ class TestFaultRecovery:
 
     def test_persistent_fault_exhausts_retries_and_raises(self):
         configs = SPEC.scenario_configs()[:2]
-        with ResilientExecutor(
+        with ParallelExecutor(
             jobs=1, policy=ExecPolicy(retries=1, **FAST)
         ) as ex:
             ex.inject_fault(0, "crash", persistent=True)
             with pytest.raises(RetryExhaustedError) as excinfo:
-                ex.map_scenarios(configs)
+                ex.map_units(configs)
         assert excinfo.value.index == 0
         assert excinfo.value.attempts == 2  # first try + one retry
         assert "died without a result" in str(excinfo.value)
 
     def test_zero_retries_fails_on_first_fault(self):
         configs = SPEC.scenario_configs()[:1]
-        with ResilientExecutor(
+        with ParallelExecutor(
             jobs=1, policy=ExecPolicy(retries=0, **FAST)
         ) as ex:
             ex.inject_fault(0, "error")
             with pytest.raises(RetryExhaustedError, match="injected transient"):
-                ex.map_scenarios(configs)
+                ex.map_units(configs)
 
     def test_worker_interrupt_is_not_reported_as_transient(self, monkeypatch):
         # Ctrl-C hitting the process group must not come back on the pipe
@@ -183,10 +227,14 @@ class TestFaultRecovery:
         from repro.experiments.exec import worker
 
         sent = []
+        config = SPEC.scenario_configs()[0]
 
         class FakeConn:
             def send(self, message):
                 sent.append(message)
+
+            def recv(self):
+                return (config, False, False, None, None)
 
             def close(self):
                 pass
@@ -195,9 +243,8 @@ class TestFaultRecovery:
             raise KeyboardInterrupt
 
         monkeypatch.setattr(worker, "run_scenario", interrupted)
-        config = SPEC.scenario_configs()[0]
         with pytest.raises(KeyboardInterrupt):
-            worker.resilient_worker_main(FakeConn(), config, False)
+            worker.worker_main(FakeConn())
         assert sent == [("ready",)]  # the handshake, but no "error" report
 
 
@@ -207,7 +254,7 @@ class TestCheckpointResume:
     ):
         store_dir = tmp_path / "ckpt"
         obs = Observability()
-        with ResilientExecutor(
+        with ParallelExecutor(
             jobs=2,
             policy=ExecPolicy(retries=2, checkpoint_dir=str(store_dir), **FAST),
         ) as ex:
@@ -219,7 +266,7 @@ class TestCheckpointResume:
         assert results_digest(faulted) == results_digest(serial_points)
 
         obs2 = Observability()
-        with ResilientExecutor(
+        with ParallelExecutor(
             jobs=2,
             policy=ExecPolicy(
                 checkpoint_dir=str(store_dir), resume=True, **FAST
@@ -236,11 +283,11 @@ class TestCheckpointResume:
         configs = SPEC.scenario_configs()
         # Seed the store with the first half of the sweep only.
         with SerialExecutor() as warm, CheckpointStore(store_dir) as store:
-            for result in warm.map_scenarios(configs[:4]):
+            for result in warm.map_units(configs[:4]):
                 store.put(result.config.content_key(), result)
 
         obs = Observability()
-        with ResilientExecutor(
+        with ParallelExecutor(
             jobs=2,
             policy=ExecPolicy(
                 checkpoint_dir=str(store_dir), resume=True, **FAST
@@ -256,11 +303,11 @@ class TestCheckpointResume:
         store_dir = tmp_path / "ckpt"
         configs = SPEC.scenario_configs()[:2]
         policy = ExecPolicy(checkpoint_dir=str(store_dir), **FAST)
-        with ResilientExecutor(jobs=1, policy=policy) as ex:
-            ex.map_scenarios(configs)
+        with ParallelExecutor(jobs=1, policy=policy) as ex:
+            ex.map_units(configs)
         obs = Observability()
-        with ResilientExecutor(jobs=1, policy=policy) as ex:
-            ex.map_scenarios(configs, obs=obs)
+        with ParallelExecutor(jobs=1, policy=policy) as ex:
+            ex.map_units(configs, obs=obs)
         counters = obs.metrics.counters("exec")
         assert "exec.checkpoint.hits" not in counters
         # Recomputed results were already stored: duplicate puts are no-ops.
@@ -268,7 +315,7 @@ class TestCheckpointResume:
 
     def test_manifest_written_next_to_results(self, tmp_path):
         store_dir = tmp_path / "ckpt"
-        with ResilientExecutor(
+        with ParallelExecutor(
             jobs=1, policy=ExecPolicy(checkpoint_dir=str(store_dir), **FAST)
         ) as ex:
             ex.run_sweep(SPEC)

@@ -10,10 +10,10 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.experiments.exec import (
+    EXECUTOR_KINDS,
     ExecPolicy,
     ExperimentSpec,
     ParallelExecutor,
-    ResilientExecutor,
     SerialExecutor,
     make_executor,
 )
@@ -96,7 +96,7 @@ class TestResilientTelemetry:
     def test_clean_run_records_and_identical_results(self, serial_points):
         sink = CollectSink()
         with TelemetryHub(sinks=[sink]) as hub:
-            with ResilientExecutor(
+            with ParallelExecutor(
                 jobs=2, policy=ExecPolicy(**FAST), telemetry=hub
             ) as ex:
                 points = ex.run_sweep(SPEC)
@@ -108,7 +108,7 @@ class TestResilientTelemetry:
     def test_crash_emits_crash_and_retry_records(self, serial_points):
         sink = CollectSink()
         with TelemetryHub(sinks=[sink]) as hub:
-            with ResilientExecutor(
+            with ParallelExecutor(
                 jobs=2, policy=ExecPolicy(retries=2, **FAST), telemetry=hub
             ) as ex:
                 ex.inject_fault(0, "crash")
@@ -136,7 +136,7 @@ class TestResilientTelemetry:
             timeout=1.0, retries=2, heartbeat_interval=0.05, **FAST
         )
         with TelemetryHub(sinks=[sink]) as hub:
-            with ResilientExecutor(
+            with ParallelExecutor(
                 jobs=2, policy=policy, telemetry=hub
             ) as ex:
                 ex.inject_fault(0, "hang")
@@ -168,7 +168,7 @@ class TestResilientTelemetry:
         policy = ExecPolicy(
             timeout=1.0, retries=2, heartbeat_interval=0.05, **FAST
         )
-        with ResilientExecutor(jobs=2, policy=policy) as ex:
+        with ParallelExecutor(jobs=2, policy=policy) as ex:
             ex.inject_fault(0, "hang")
             points = ex.run_sweep(SPEC, obs=obs)
         assert results_digest(points) == results_digest(serial_points)
@@ -180,11 +180,11 @@ class TestResilientTelemetry:
         policy = ExecPolicy(
             checkpoint_dir=str(tmp_path / "ckpt"), resume=True, **FAST
         )
-        with ResilientExecutor(jobs=2, policy=policy) as ex:
+        with ParallelExecutor(jobs=2, policy=policy) as ex:
             first = ex.run_sweep(SPEC)
         sink = CollectSink()
         with TelemetryHub(sinks=[sink]) as hub:
-            with ResilientExecutor(jobs=2, policy=policy, telemetry=hub) as ex:
+            with ParallelExecutor(jobs=2, policy=policy, telemetry=hub) as ex:
                 resumed = ex.run_sweep(SPEC)
         assert results_digest(resumed) == results_digest(first)
         finishes = [r for r in sink.records if r["kind"] == "scenario.finish"]
@@ -202,7 +202,7 @@ class TestPolicyAndFactory:
 
     def test_make_executor_threads_telemetry_through(self):
         hub = TelemetryHub()
-        for kind in ("serial", "process", "resilient"):
+        for kind in EXECUTOR_KINDS:
             ex = make_executor(kind, jobs=1, telemetry=hub)
             assert ex.telemetry is hub
             ex.close()

@@ -1,6 +1,6 @@
 """Restoration tracing through the executors.
 
-The merge contract: parallel and resilient executors must hand back
+The merge contract: the process pool, clean or faulted, must hand back
 exactly the episodes a serial run produces — same ids, same spans, same
 analysis — while the sweep results stay byte-identical to a trace-free
 run (tracing is observe-only).
@@ -12,7 +12,6 @@ from repro.experiments.exec import (
     ExecPolicy,
     ExperimentSpec,
     ParallelExecutor,
-    ResilientExecutor,
     SerialExecutor,
 )
 from repro.obs import Observability, RestorationTracer, TraceAnalyzer
@@ -87,7 +86,7 @@ class TestResilientTracing:
     def test_identical_to_serial(self, serial_run):
         points, serial_tracer = serial_run
         obs = _traced()
-        with ResilientExecutor(jobs=2, policy=ExecPolicy(**FAST)) as ex:
+        with ParallelExecutor(jobs=2, policy=ExecPolicy(**FAST)) as ex:
             res_points = ex.run_sweep(SPEC, obs=obs)
         assert results_digest(res_points) == results_digest(points)
         assert episode_digest(obs.tracer) == episode_digest(serial_tracer)
@@ -95,7 +94,7 @@ class TestResilientTracing:
     def test_crash_retry_does_not_duplicate_episodes(self, serial_run):
         points, serial_tracer = serial_run
         obs = _traced()
-        with ResilientExecutor(
+        with ParallelExecutor(
             jobs=2, policy=ExecPolicy(retries=2, **FAST)
         ) as ex:
             ex.inject_fault(0, "crash")

@@ -103,7 +103,7 @@ class TestSession:
         with SerialExecutor() as ex:
             session = open_session(executor=ex)
             session.close()
-            ex.map_scenarios([])  # still usable: the caller owns it
+            ex.map_units([])  # still usable: the caller owns it
 
     def test_executor_conflicts_use_shared_rules(self):
         with SerialExecutor() as ex:

@@ -87,6 +87,16 @@ class TestExecutorFlags:
         assert excinfo.value.code == 2
         assert "requires --executor process" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flag", [["--timeout", "5"], ["--retries", "1"],
+                 ["--checkpoint-dir", "ckpt"], ["--inject-fault", "crash:0"]],
+    )
+    def test_policy_flags_reject_the_serial_executor(self, flag, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["scenario", "--executor", "serial", *flag])
+        assert excinfo.value.code == 2
+        assert "not --executor serial" in capsys.readouterr().err
+
     def test_unknown_executor_rejected(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["figures", "--executor", "threads"])
@@ -190,7 +200,7 @@ class TestTelemetryFlags:
         flight = str(tmp_path / "flight.ndjson")
         prom = str(tmp_path / "metrics.prom")
         code = main(self.SCENARIO + [
-            "--executor", "resilient", "--progress",
+            "--retries", "2", "--progress",
             "--telemetry-out", flight, "--openmetrics-out", prom,
         ])
         assert code == 0
