@@ -3,7 +3,7 @@
 
 Reproduces the Figure 6 scenario: a 2-level recovery architecture where
 each stub domain (and the transit backbone) runs its own SMRP sub-tree
-rooted at a recovery agent.  Failures are repaired entirely inside the
+rooted at a recovery agent — the depth-2 case of ``NLevelMulticast``.  Failures are repaired entirely inside the
 domain they occur in; this example shows the confinement by failing
 
 1. a link inside a member's stub domain, then
@@ -19,8 +19,13 @@ import sys
 
 import numpy as np
 
-from repro import SMRPConfig, SMRPProtocol, TransitStubConfig, transit_stub_topology
-from repro.core.hierarchy import HierarchicalMulticast
+from repro import (
+    NLevelMulticast,
+    SMRPConfig,
+    SMRPProtocol,
+    TransitStubConfig,
+    transit_stub_topology,
+)
 from repro.core.recovery import repair_tree
 from repro.routing.failure_view import FailureSet
 
@@ -33,13 +38,13 @@ def main(seed: int = 3) -> None:
     )
     topo = network.topology
     print(f"network: {topo}")
-    print(f"domains: 1 transit + {len(network.stub_domains)} stubs "
+    print(f"domains: 1 transit + {len(network.leaf_domains())} stubs "
           f"(gateway agents: "
-          f"{[d.gateway for d in network.stub_domains]})\n")
+          f"{[d.gateway for d in network.leaf_domains()]})\n")
 
     rng = np.random.default_rng(seed + 1)
     stub_nodes = [
-        n for d in network.stub_domains for n in sorted(d.nodes)
+        n for d in network.leaf_domains() for n in sorted(d.nodes)
         if n != d.gateway
     ]
     source = stub_nodes[0]
@@ -48,7 +53,7 @@ def main(seed: int = 3) -> None:
         - {source}
     )
 
-    session = HierarchicalMulticast(network, source, config=SMRPConfig(d_thresh=0.5))
+    session = NLevelMulticast(network, source, config=SMRPConfig(d_thresh=0.5))
     for m in members:
         session.join(m)
     flat = SMRPProtocol(topo, source, config=SMRPConfig(d_thresh=0.5))

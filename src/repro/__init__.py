@@ -46,7 +46,7 @@ from repro.graph import (
 from repro.routing import FailureSet, NO_FAILURES, dijkstra, shortest_path
 from repro.multicast import MulticastTree, SPFMulticastProtocol
 from repro.core import (
-    HierarchicalMulticast,
+    NLevelMulticast,
     SMRPConfig,
     SMRPProtocol,
     global_detour_recovery,
@@ -94,7 +94,7 @@ __all__ = [
     "SPFMulticastProtocol",
     "SMRPProtocol",
     "SMRPConfig",
-    "HierarchicalMulticast",
+    "NLevelMulticast",
     "local_detour_recovery",
     "global_detour_recovery",
     "repair_tree",

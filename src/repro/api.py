@@ -21,13 +21,10 @@ telemetry — and exposes every verb against it:
   :class:`ServiceSpec` (thousands of groups, sharded over the session's
   executor, byte-identical however sharded).
 
-The original module-level verbs — :func:`run_scenario`,
-:func:`run_sweep`, :func:`build_figure`, plus the new
-:func:`run_service` — remain the convenient one-shot spelling; each is
-a thin wrapper that opens a transient :class:`Session`, delegates, and
-closes it.  Their signatures and behavior are unchanged.
+A one-shot run is ``with open_session(...) as session:`` around one
+verb.
 
-Every entry point accepts ``jobs`` (worker process count) or an explicit
+:func:`open_session` accepts ``jobs`` (worker process count) or an explicit
 ``executor``; ``jobs > 1`` fans work units out over the
 :class:`ParallelExecutor` pool of long-lived worker processes, with
 results merged deterministically in input order, so parallel runs are
@@ -42,10 +39,11 @@ is an implementation detail.
 
 Examples
 --------
->>> from repro.api import ExperimentSpec, run_sweep
+>>> from repro.api import ExperimentSpec, open_session
 >>> spec = ExperimentSpec(n=30, group_size=8, sweep_parameter="d_thresh",
 ...                       sweep_values=(0.1, 0.3), topologies=2, member_sets=2)
->>> points = run_sweep(spec)
+>>> with open_session() as session:
+...     points = session.run_sweep(spec)
 >>> [p.label for p in points]
 ['0.1', '0.3']
 """
@@ -93,28 +91,46 @@ __all__ = [
     "Session",
     "SubstrateCache",
     "SweepPoint",
-    "build_figure",
     "make_executor",
     "open_session",
     "resolve_executor",
-    "run_scenario",
-    "run_service",
-    "run_sweep",
 ]
 
-#: Figure driver registry: canonical name -> (module, runner attribute).
+#: The 4×2 seeding grid per sweep point of the scenario-grid figures.
+_QUICK_GRID = {"topologies": 4, "member_sets": 2}
+
+#: Figure driver registry: canonical name -> (module, runner attribute,
+#: quick preset).  A driver's defaults are the full run; the quick preset
+#: is the reduced run behind ``build_figure(..., quick=True)`` and every
+#: CLI ``--quick``.  Figure 7 is already small: its quick run is the full
+#: one.
 _FIGURES = {
-    "fig7": ("repro.experiments.fig7", "run_figure7"),
-    "fig8": ("repro.experiments.fig8", "run_figure8"),
-    "fig9": ("repro.experiments.fig9", "run_figure9"),
-    "fig10": ("repro.experiments.fig10", "run_figure10"),
-    "protection": ("repro.experiments.figprotect", "run_protection_figure"),
-    "distribution": ("repro.experiments.figdist", "run_distribution_figure"),
+    "fig7": ("repro.experiments.fig7", "run_figure7", {}),
+    "fig8": ("repro.experiments.fig8", "run_figure8", _QUICK_GRID),
+    "fig9": ("repro.experiments.fig9", "run_figure9", _QUICK_GRID),
+    "fig10": ("repro.experiments.fig10", "run_figure10", _QUICK_GRID),
+    "protection": (
+        "repro.experiments.figprotect",
+        "run_protection_figure",
+        {
+            "rates": (0.02, 0.1),
+            "n": 40,
+            "group_size": 8,
+            "topologies": 2,
+            "member_sets": 1,
+            "trials": 2,
+        },
+    ),
+    "distribution": (
+        "repro.experiments.figdist",
+        "run_distribution_figure",
+        {"engines": ("smrp", "spf"), "groups": 1000},
+    ),
+    "phases": ("repro.experiments.figphases", "run_phase_figure", _QUICK_GRID),
 }
 
 #: Distinguishes "caller did not mention cache" (session builds one)
-#: from an explicit ``cache=None`` (run uncached, the historical
-#: one-shot default).
+#: from an explicit ``cache=None`` (run uncached).
 _UNSET_CACHE = object()
 
 
@@ -141,7 +157,7 @@ class Session:
     cache:
         Substrate cache for topologies and SPF state.  Omitted → the
         session builds its own; explicitly ``None`` → verbs run
-        uncached (the historical one-shot behavior).
+        uncached.
     obs:
         Default :class:`~repro.obs.Observability` for every verb.
     """
@@ -281,7 +297,15 @@ class Session:
         return run_spec_sweep(spec, executor=self.executor, obs=self.obs)
 
     def build_figure(self, figure: int | str, *, quick: bool = False, **overrides):
-        """Run one of the paper's figure drivers on the session's executor."""
+        """Run one of the figure drivers on the session's executor.
+
+        ``figure`` is 7–10 (or ``"fig8"``-style names), ``"protection"``,
+        ``"distribution"`` or ``"phases"``; the returned result has a
+        ``render()`` method producing the text table.  ``quick`` applies
+        the figure's reduced preset (the CLI's ``--quick``); any
+        figure-driver keyword (``values``, ``n``, ``topologies``, …)
+        can be overridden explicitly and wins over ``quick``.
+        """
         import importlib
 
         name = figure if isinstance(figure, str) else f"fig{figure}"
@@ -290,12 +314,9 @@ class Session:
                 f"unknown figure {figure!r}; expected one of "
                 f"{sorted(_FIGURES)} (or 7-10)"
             )
-        module_name, attr = _FIGURES[name]
+        module_name, attr, preset = _FIGURES[name]
         runner = getattr(importlib.import_module(module_name), attr)
-        kwargs = dict(overrides)
-        if quick and name != "fig7":
-            kwargs.setdefault("topologies", 4)
-            kwargs.setdefault("member_sets", 2)
+        kwargs = {**preset, **overrides} if quick else overrides
         return runner(obs=self.obs, executor=self.executor, **kwargs)
 
     # ------------------------------------------------------------------
@@ -340,7 +361,11 @@ def open_session(
 
     Usable as a context manager; :meth:`Session.close` releases the
     executor the session resolved (a ready ``executor`` passed in stays
-    open, matching the one-shot verbs' ownership rules).
+    open: the caller owns its lifecycle).  ``policy`` sets the pool's
+    timeouts, retries and checkpoint/resume (implying the pool even at
+    ``jobs=1``); ``telemetry`` (a :class:`~repro.obs.live.TelemetryHub`)
+    streams observe-only lifecycle events and progress.  Both are
+    mutually exclusive with ``executor``: attach them when building it.
     """
     if isinstance(spec, dict):
         spec = ServiceSpec.from_dict(spec)
@@ -356,107 +381,3 @@ def open_session(
         **options,
     )
 
-
-def run_scenario(
-    config: ScenarioConfig | None = None,
-    *,
-    obs=None,
-    cache: SubstrateCache | None = None,
-    **params,
-) -> ScenarioResult:
-    """Run one scenario: both trees, worst-case failures, all metrics.
-
-    Either pass a ready :class:`ScenarioConfig`, or its fields as
-    keywords (``run_scenario(n=50, group_size=10)``).  ``cache`` lets
-    consecutive calls share generated topologies and SPF state.
-    """
-    with Session(cache=cache, obs=obs) as session:
-        return session.run_scenario(config, **params)
-
-
-def run_sweep(
-    spec: ExperimentSpec | dict,
-    *,
-    executor: Executor | None = None,
-    jobs: int = 1,
-    policy: ExecPolicy | None = None,
-    telemetry=None,
-    obs=None,
-) -> list[SweepPoint]:
-    """Expand a declarative spec over its seeding grid and aggregate.
-
-    ``spec`` may be an :class:`ExperimentSpec` or its ``to_dict`` form.
-    Parallelism: pass ``jobs > 1`` for a transient process pool, or a
-    ready :class:`Executor` (which stays open — callers own its
-    lifecycle).  ``policy`` sets the pool's timeouts, retries and
-    checkpoint/resume (implying the pool even at ``jobs=1``); mutually
-    exclusive with ``executor``.
-    ``telemetry`` (a :class:`~repro.obs.live.TelemetryHub`) streams
-    lifecycle events and progress while the sweep runs; it is
-    observe-only and also mutually exclusive with ``executor`` (attach
-    the hub when constructing the executor in that case).
-    """
-    with Session(
-        executor=executor, jobs=jobs, policy=policy, telemetry=telemetry, obs=obs
-    ) as session:
-        return session.run_sweep(spec)
-
-
-def run_service(
-    spec: ServiceSpec | dict,
-    *,
-    executor: Executor | None = None,
-    jobs: int = 1,
-    policy: ExecPolicy | None = None,
-    telemetry=None,
-    obs=None,
-) -> ServiceReport:
-    """Execute a declarative multi-group service run.
-
-    ``spec`` may be a :class:`ServiceSpec` or its ``to_dict`` form.  The
-    run is cut into shard work units (``spec.shard_size`` groups each)
-    that ride the selected executor; the merged
-    :class:`ServiceReport` is byte-identical however the shards were
-    scheduled — serial, pooled (faulted or not), or resumed from a
-    checkpoint.
-    """
-    if isinstance(spec, dict):
-        spec = ServiceSpec.from_dict(spec)
-    with Session(
-        spec=spec,
-        executor=executor,
-        jobs=jobs,
-        policy=policy,
-        telemetry=telemetry,
-        obs=obs,
-    ) as session:
-        return session.run_service()
-
-
-def build_figure(
-    figure: int | str,
-    *,
-    quick: bool = False,
-    executor: Executor | None = None,
-    jobs: int = 1,
-    policy: ExecPolicy | None = None,
-    telemetry=None,
-    obs=None,
-    **overrides,
-):
-    """Run one of the paper's figure drivers and return its result object.
-
-    ``figure`` is 7–10 (or ``"fig8"``-style names); the returned result
-    has a ``render()`` method producing the text table.  ``quick``
-    shrinks the seeding grid to 4×2 scenarios per sweep point (the CLI's
-    ``--quick``); any figure-driver keyword (``values``, ``n``,
-    ``topologies``, …) can be overridden explicitly and wins over
-    ``quick``.  ``policy`` sets the pool's timeouts, retries and
-    checkpoint/resume (mutually exclusive with ``executor``).
-    ``telemetry`` (a :class:`~repro.obs.live.TelemetryHub`) streams
-    observe-only live progress; mutually exclusive with ``executor``.
-    """
-    with Session(
-        executor=executor, jobs=jobs, policy=policy, telemetry=telemetry, obs=obs
-    ) as session:
-        return session.build_figure(figure, quick=quick, **overrides)

@@ -661,32 +661,18 @@ class _ProfileScope:
 # Commands
 # ----------------------------------------------------------------------
 def _cmd_figures(args: argparse.Namespace) -> int:
-    from repro.experiments.fig7 import run_figure7
-    from repro.experiments.fig8 import run_figure8
-    from repro.experiments.fig9 import run_figure9
-    from repro.experiments.fig10 import run_figure10
+    from repro.api import open_session
 
     obs = _make_obs(args)
     telemetry = _make_telemetry(args)
     executor = _make_executor(args, telemetry=telemetry)
-    topologies, member_sets = (4, 2) if args.quick else (10, 10)
-    runs = {
-        7: lambda: run_figure7(topologies=5, obs=obs, executor=executor),
-        8: lambda: run_figure8(topologies=topologies, member_sets=member_sets,
-                               obs=obs, executor=executor),
-        9: lambda: run_figure9(topologies=topologies, member_sets=member_sets,
-                               obs=obs, executor=executor),
-        10: lambda: run_figure10(topologies=topologies,
-                                 member_sets=member_sets, obs=obs,
-                                 executor=executor),
-    }
     figures_run = [args.figure] if args.figure else [7, 8, 9, 10]
     scope = _ProfileScope(args, obs)
     try:
-        with scope, executor:
+        with scope, executor, open_session(executor=executor, obs=obs) as session:
             for figure in figures_run:
                 print(f"--- Figure {figure} ---")
-                print(runs[figure]().render())
+                print(session.build_figure(figure, quick=args.quick).render())
                 print()
     finally:
         if telemetry is not None:
@@ -870,6 +856,7 @@ def _controller_spec(args: argparse.Namespace):
 
 
 def _cmd_controller(args: argparse.Namespace) -> int:
+    from repro.api import open_session
     from repro.errors import ConfigurationError
 
     try:
@@ -882,10 +869,8 @@ def _cmd_controller(args: argparse.Namespace) -> int:
     executor = _make_executor(args, telemetry=telemetry)
     scope = _ProfileScope(args, obs)
     try:
-        with scope, executor:
-            from repro.api import run_service
-
-            report = run_service(spec, executor=executor, obs=obs)
+        with scope, executor, open_session(executor=executor, obs=obs) as session:
+            report = session.run_service(spec)
     except ConfigurationError as exc:
         print(f"repro: error: {exc}", file=sys.stderr)
         return 2
@@ -905,29 +890,19 @@ def _cmd_controller(args: argparse.Namespace) -> int:
 
 
 def _cmd_protection(args: argparse.Namespace) -> int:
-    from repro.experiments.figprotect import run_protection_figure
+    from repro.api import open_session
 
     obs = _make_obs(args)
     telemetry = _make_telemetry(args)
     executor = _make_executor(args, telemetry=telemetry)
-    if args.quick:
-        kwargs = {
-            "rates": (0.02, 0.1),
-            "n": 40,
-            "group_size": 8,
-            "topologies": 2,
-            "member_sets": 1,
-            "trials": 2,
-        }
-    else:
-        kwargs = {}
+    overrides = {"budget": args.budget}
     if args.rates:
-        kwargs["rates"] = tuple(args.rates)
+        overrides["rates"] = tuple(args.rates)
     scope = _ProfileScope(args, obs)
     try:
-        with scope, executor:
-            result = run_protection_figure(
-                budget=args.budget, obs=obs, executor=executor, **kwargs
+        with scope, executor, open_session(executor=executor, obs=obs) as session:
+            result = session.build_figure(
+                "protection", quick=args.quick, **overrides
             )
     finally:
         if telemetry is not None:
@@ -946,33 +921,26 @@ def _cmd_protection(args: argparse.Namespace) -> int:
 
 
 def _cmd_distribution(args: argparse.Namespace) -> int:
+    from repro.api import open_session
     from repro.errors import ConfigurationError
-    from repro.experiments.figdist import run_distribution_figure
 
     obs = _make_obs(args)
     telemetry = _make_telemetry(args)
     executor = _make_executor(args, telemetry=telemetry)
+    overrides = {
+        "workload": args.workload,
+        "failure": args.failure,
+        "shard_size": args.shard_size,
+    }
     if args.engines:
-        engines = tuple(args.engines)
-    elif args.quick:
-        engines = ("smrp", "spf")
-    else:
-        engines = tuple(ENGINES)
+        overrides["engines"] = tuple(args.engines)
     if args.groups is not None:
-        groups = args.groups
-    else:
-        groups = 1000 if args.quick else 2000
+        overrides["groups"] = args.groups
     scope = _ProfileScope(args, obs)
     try:
-        with scope, executor:
-            result = run_distribution_figure(
-                engines=engines,
-                groups=groups,
-                workload=args.workload,
-                failure=args.failure,
-                shard_size=args.shard_size,
-                obs=obs,
-                executor=executor,
+        with scope, executor, open_session(executor=executor, obs=obs) as session:
+            result = session.build_figure(
+                "distribution", quick=args.quick, **overrides
             )
     except ConfigurationError as exc:
         print(f"repro: error: {exc}", file=sys.stderr)
@@ -983,8 +951,8 @@ def _cmd_distribution(args: argparse.Namespace) -> int:
     print(result.render())
     _write_obs_report(args, obs, scope.annotate({
         "command": "distribution",
-        "engines": list(engines),
-        "groups": groups,
+        "engines": [dist.engine for dist in result.engines],
+        "groups": result.groups,
         "quick": bool(args.quick),
         "executor": executor.kind,
         "jobs": args.jobs,
@@ -1226,20 +1194,14 @@ def _cmd_trace_diff(args: argparse.Namespace) -> int:
 
 
 def _cmd_trace_figure(args: argparse.Namespace) -> int:
-    from repro.experiments.figphases import run_phase_figure
+    from repro.api import open_session
 
     obs = _make_obs(args)
     telemetry = _make_telemetry(args)
     executor = _make_executor(args, telemetry=telemetry)
-    topologies, member_sets = (4, 2) if args.quick else (10, 10)
     try:
-        with executor:
-            result = run_phase_figure(
-                topologies=topologies,
-                member_sets=member_sets,
-                obs=obs,
-                executor=executor,
-            )
+        with executor, open_session(executor=executor, obs=obs) as session:
+            result = session.build_figure("phases", quick=args.quick)
     finally:
         if telemetry is not None:
             telemetry.close()
@@ -1269,7 +1231,7 @@ def _cmd_info(args: argparse.Namespace) -> int:
          "metrics + hdr histograms, span/self-time profiling, run "
          "reports, live telemetry"),
         ("repro.api",
-         "stable facade: sessions, run_scenario/run_sweep/"
+         "stable facade: open_session, then run_scenario/run_sweep/"
          "build_figure/run_service"),
     ]
     for name, description in components:

@@ -17,7 +17,9 @@
 - a failure is repaired strictly inside the domain that contains it.
 
 Relay memberships are reference-counted so domains activate exactly when
-the first member needs them and dissolve with the last.
+the first member needs them and dissolve with the last.  The paper's
+2-level transit-stub session (Figure 6) is this engine at depth 2, over
+:func:`~repro.graph.transit_stub.transit_stub_topology`.
 """
 
 from __future__ import annotations
@@ -47,8 +49,9 @@ class NLevelRecoveryReport:
     scope_nodes: int = 0
     #: Domains whose agent failed and was replaced by a standby.
     failovers: dict[int, NodeId] = field(default_factory=dict)
-    #: Domains whose agent failed with no standby left: their members are
-    #: unreachable until the operator intervenes.
+    #: Domains whose tree root (the source, or the agent data enters
+    #: through) failed with no standby to take over: a confined recovery
+    #: cannot re-root them, so the members behind them leave the session.
     dead_domains: list[int] = field(default_factory=list)
     #: Members that could not be re-attached during agent failover (the
     #: dead agent was a cut vertex of their domain).
@@ -57,6 +60,13 @@ class NLevelRecoveryReport:
     @property
     def total_recovery_distance(self) -> float:
         return sum(r.total_recovery_distance for r in self.repairs.values())
+
+    @property
+    def unrecoverable(self) -> list[NodeId]:
+        """Every domain repair's unrecoverable nodes, sorted."""
+        return sorted(
+            node for report in self.repairs.values() for node in report.unrecoverable
+        )
 
 
 class NLevelMulticast:
@@ -85,6 +95,9 @@ class NLevelMulticast:
         self._graphs: dict[int, Topology] = {}
         self._members: set[NodeId] = set()
         self._relay_demand: Counter[tuple[int, NodeId]] = Counter()
+        #: Standbys this session promoted, by domain.  The network is
+        #: shared by every session built on it, so it is never rewritten.
+        self._promoted: dict[int, NodeId] = {}
 
     # ------------------------------------------------------------------
     # Membership
@@ -144,11 +157,10 @@ class NLevelMulticast:
         if member not in self._members:
             raise NotMemberError(member)
         leaf = self._leaf_domain_of(member)
-        total = 0.0
-        for domain_id, exit_node in self._data_path(leaf.domain_id, member):
-            tree = self._protocols[domain_id].tree
-            total += tree.delay_from_source(exit_node)
-        return total
+        return sum(
+            self._protocols[domain_id].tree.delay_from_source(exit_node)
+            for domain_id, exit_node in self._data_path(leaf.domain_id, member)
+        )
 
     def total_cost(self) -> float:
         """Sum of all active domain trees' costs (link sets are disjoint)."""
@@ -166,22 +178,31 @@ class NLevelMulticast:
     ) -> NLevelRecoveryReport:
         """Repair every affected domain inside its own sub-topology.
 
-        Handles two failure classes:
+        Handles three failure classes, in this order:
 
-        - component failures inside a domain → local-detour repair of that
-          domain's tree (the §3.3.3 confinement);
         - **agent failures**: when a domain's gateway node itself dies,
           a standby agent (generated multi-homed into the parent domain)
           takes over — the domain's tree re-roots at the standby, the
           parent's relay membership switches to it, and everything else
-          stays untouched.  Without a live standby the domain is reported
-          dead.
+          stays untouched;
+        - **dead roots**: any active domain whose tree root still failed
+          after that (the source itself, or an agent with no live
+          standby) is reported dead, its protocol and relay demand are
+          dropped, and so are the members served through it — a confined
+          recovery cannot re-root a domain;
+        - component failures inside a domain → local-detour repair of that
+          domain's tree (the §3.3.3 confinement).
 
-        An ``obs`` with a restoration tracer attached yields one episode
-        per member re-attached (``origin="repair"``), domain by domain.
+        ``route_cache`` / ``route_obs`` memoise post-failure SPF state
+        across repairs as in :func:`~repro.core.recovery.repair_tree`
+        (domain graphs carry their own cache tokens, so entries never
+        cross domains).  An ``obs`` with a restoration tracer attached
+        yields one episode per member re-attached (``origin="repair"``),
+        domain by domain.
         """
         report = NLevelRecoveryReport()
         self._failover_dead_agents(failures, report)
+        self._drop_dead_domains(failures, report)
         for domain_id, protocol in sorted(self._protocols.items()):
             local = self._restrict_failures(domain_id, failures)
             if local.is_empty or not protocol.tree.affected_by(local):
@@ -212,36 +233,27 @@ class NLevelMulticast:
         self, failures: FailureSet, report: NLevelRecoveryReport
     ) -> None:
         """Replace failed gateway agents by their standbys."""
-        for domain in self.network.domains:
-            gateway = domain.gateway
-            if gateway is None or not failures.node_failed(gateway):
+        for domain in self.network.domains[1:]:
+            gateway = self._gateway(domain.domain_id)
+            if not failures.node_failed(gateway):
                 continue
-            if not self._gateway_in_use(domain):
+            if not self._gateway_in_use(domain, gateway):
                 continue
             replacement = next(
-                (
-                    s
-                    for s in domain.standbys
-                    if not failures.node_failed(s)
-                ),
+                (s for s in domain.standbys if not failures.node_failed(s)),
                 None,
             )
             if replacement is None:
-                report.dead_domains.append(domain.domain_id)
-                self._abandon_domain_subtree(domain)
-                continue
+                continue  # the domain it feeds is dead: _drop_dead_domains
             self._promote_standby(domain, gateway, replacement, failures, report)
             report.failovers[domain.domain_id] = replacement
 
-    def _gateway_in_use(self, domain: NestedDomain) -> bool:
+    def _gateway_in_use(self, domain: NestedDomain, gateway: NodeId) -> bool:
         """True when the agent currently relays for anyone."""
-        parent_id = domain.parent
-        if parent_id is None:
-            return False
-        return any(
-            d == parent_id and relay == domain.gateway
-            for d, relay in self._relay_demand
-        ) or domain.domain_id in self._protocols
+        return (
+            domain.domain_id in self._protocols
+            or (domain.parent, gateway) in self._relay_demand
+        )
 
     def _promote_standby(
         self,
@@ -253,85 +265,89 @@ class NLevelMulticast:
     ) -> None:
         """Re-root the domain on ``replacement`` and rewire the parent."""
         # The topology gains no links — standbys were multi-homed at
-        # generation time — but the cached domain graphs of the domain and
-        # its parent must be rebuilt to expose the standby's uplink.
-        domain.gateway = replacement
-        self._graphs.pop(domain.domain_id, None)
-        if domain.parent is not None:
-            self._graphs.pop(domain.parent, None)
+        # generation time — but the parent's cached domain graph must be
+        # rebuilt to expose the standby's uplink.
+        self._promoted[domain.domain_id] = replacement
+        self._graphs.pop(domain.parent, None)
+        # The domain's tree re-roots at the new agent; when the old agent
+        # relayed *upward* (source-path domains carry their own gateway
+        # as a member), the replacement inherits that duty.  The parent's
+        # tree is rebuilt over its refreshed graph, the replacement
+        # taking over the old agent's relay membership there.
+        self._rebuild(domain.domain_id, old_gateway, replacement, failures, report)
+        self._rebuild(domain.parent, old_gateway, replacement, failures, report)
 
-        # Rebuild the domain's own tree rooted at the new agent.  When the
-        # old agent relayed *upward* (source-path domains carry their own
-        # gateway as a member), the replacement inherits that duty too.
-        own_relay = self._relay_demand.pop((domain.domain_id, old_gateway), 0)
-        if own_relay:
-            self._relay_demand[(domain.domain_id, replacement)] += own_relay
-        protocol = self._protocols.pop(domain.domain_id, None)
-        if protocol is not None:
-            old_members = [
-                m
-                for m in protocol.tree.members
-                if m != old_gateway and not failures.node_failed(m)
-            ]
-            if own_relay and replacement not in old_members:
-                old_members.append(replacement)
-            fresh = self._protocol_for(domain.domain_id)
-            for member in sorted(old_members):
-                if member == fresh.tree.source:
-                    if not fresh.tree.is_member(member):
-                        fresh.tree.add_member(member)
-                    continue
-                try:
-                    fresh.join(member, failures=failures)
-                except ReproError:
-                    # The dead agent was a cut vertex of this domain: the
-                    # member has no path to the standby.  Domain
-                    # confinement means nobody else can serve it either.
-                    self._drop_casualty(member, report)
-
-        # Rewire the parent's relay membership and the demand counters.
-        parent_id = domain.parent
-        if parent_id is None:
-            return
-        moved = self._relay_demand.pop((parent_id, old_gateway), 0)
+    def _rebuild(
+        self,
+        domain_id: int,
+        old_gateway: NodeId,
+        replacement: NodeId,
+        failures: FailureSet,
+        report: NLevelRecoveryReport,
+    ) -> None:
+        """Move ``old_gateway``'s relay demand in ``domain_id`` to
+        ``replacement`` and rebuild the domain's tree, if active, from a
+        fresh protocol with its live members re-joined."""
+        moved = self._relay_demand.pop((domain_id, old_gateway), 0)
         if moved:
-            self._relay_demand[(parent_id, replacement)] += moved
-        parent_protocol = self._protocols.get(parent_id)
-        if parent_protocol is not None:
-            # The parent's graph changed (standby uplink now visible):
-            # rebuild the parent's tree over the refreshed graph.
-            parent_members = [
-                m
-                for m in parent_protocol.tree.members
-                if m != old_gateway and not failures.node_failed(m)
-            ]
-            if moved and replacement not in parent_members:
-                parent_members.append(replacement)
-            del self._protocols[parent_id]
-            fresh_parent = self._protocol_for(parent_id)
-            for member in sorted(parent_members):
-                if member == fresh_parent.tree.source:
-                    if not fresh_parent.tree.is_member(member):
-                        fresh_parent.tree.add_member(member)
-                    continue
-                try:
-                    fresh_parent.join(member, failures=failures)
-                except ReproError:
-                    self._drop_casualty(member, report)
-
-    def _drop_casualty(self, member: NodeId, report: NLevelRecoveryReport) -> None:
-        report.failover_casualties.append(member)
-        self._members.discard(member)
-
-    def _abandon_domain_subtree(self, domain: NestedDomain) -> None:
-        """Drop all session state of a domain with no live agent."""
-        self._protocols.pop(domain.domain_id, None)
-        for member in sorted(self._members):
-            if self.network.domain_of.get(member) == domain.domain_id:
+            self._relay_demand[(domain_id, replacement)] += moved
+        protocol = self._protocols.pop(domain_id, None)
+        if protocol is None:
+            return
+        members = {
+            m
+            for m in protocol.tree.members
+            if m != old_gateway and not failures.node_failed(m)
+        }
+        if moved:
+            members.add(replacement)
+        fresh = self._protocol_for(domain_id)
+        for member in sorted(members):
+            if member == fresh.tree.source:
+                if not fresh.tree.is_member(member):
+                    fresh.tree.add_member(member)
+                continue
+            try:
+                fresh.join(member, failures=failures)
+            except ReproError:
+                # The dead agent was a cut vertex of this domain: the
+                # member has no path to the standby.  Domain
+                # confinement means nobody else can serve it either.
+                report.failover_casualties.append(member)
                 self._members.discard(member)
-        parent_id = domain.parent
-        if parent_id is not None:
-            self._relay_demand.pop((parent_id, domain.gateway), None)
+
+    def _drop_dead_domains(
+        self, failures: FailureSet, report: NLevelRecoveryReport
+    ) -> None:
+        """Drop every active domain whose tree root failed.
+
+        Runs after standby failover, so such a root has no replacement:
+        nothing inside the domain can re-root its tree, and confinement
+        forbids a detour through another domain.  The members whose data
+        path crosses a dead domain leave the session, taking their relay
+        demand with them; the surviving domains' trees are left for the
+        repair pass.
+        """
+        dead = {
+            domain_id
+            for domain_id, protocol in self._protocols.items()
+            if failures.node_failed(protocol.tree.source)
+        }
+        if not dead:
+            return
+        report.dead_domains.extend(sorted(dead))
+        for domain_id in dead:
+            del self._protocols[domain_id]
+        for member in sorted(self._members):
+            leaf_id = self.network.domain_of[member]
+            if not any(
+                domain_id in dead
+                for domain_id, _ in self._data_path(leaf_id, member)
+            ):
+                continue
+            self._members.discard(member)
+            self._relay_demand.subtract(self._relay_requirements(leaf_id))
+        self._relay_demand = +self._relay_demand
 
     # ------------------------------------------------------------------
     # Internals
@@ -348,6 +364,14 @@ class NLevelMulticast:
             )
         return domain
 
+    def _gateway(self, domain_id: int) -> NodeId:
+        """The domain's current agent: a promoted standby, else its gateway."""
+        gateway = self._promoted.get(domain_id)
+        if gateway is None:
+            gateway = self.network.domains[domain_id].gateway
+        assert gateway is not None
+        return gateway
+
     def _entry_point(self, domain_id: int) -> NodeId:
         """Where data enters a domain (the root of its SMRP tree)."""
         if domain_id == self.source_domain_id:
@@ -356,13 +380,8 @@ class NLevelMulticast:
             # Data arrives from below: at the gateway of the next domain
             # toward the source.
             index = self.source_path.index(domain_id)
-            child_toward_source = self.source_path[index + 1]
-            gateway = self.network.domains[child_toward_source].gateway
-            assert gateway is not None
-            return gateway
-        gateway = self.network.domains[domain_id].gateway
-        assert gateway is not None
-        return gateway
+            return self._gateway(self.source_path[index + 1])
+        return self._gateway(domain_id)
 
     def _relay_requirements(self, leaf_id: int) -> list[tuple[int, NodeId]]:
         """Relay memberships needed for data to reach ``leaf_id``.
@@ -377,38 +396,20 @@ class NLevelMulticast:
         for domain_id in reversed(self.source_path):
             if domain_id == lca:
                 break
-            gateway = self.network.domains[domain_id].gateway
-            assert gateway is not None
-            requirements.append((domain_id, gateway))
+            requirements.append((domain_id, self._gateway(domain_id)))
         # Downward half: LCA → … → the leaf's parent.
         member_path = self.network.domain_path(leaf_id)
         start = member_path.index(lca)
         for upper, lower in zip(member_path[start:], member_path[start + 1 :]):
-            gateway = self.network.domains[lower].gateway
-            assert gateway is not None
-            requirements.append((upper, gateway))
+            requirements.append((upper, self._gateway(lower)))
         return requirements
 
     def _data_path(
         self, leaf_id: int, member: NodeId
     ) -> list[tuple[int, NodeId]]:
-        """(domain, exit node) hops the data crosses from S to ``member``."""
-        lca = self.network.lowest_common_ancestor(self.source_domain_id, leaf_id)
-        hops: list[tuple[int, NodeId]] = []
-        for domain_id in reversed(self.source_path):
-            if domain_id == lca:
-                break
-            gateway = self.network.domains[domain_id].gateway
-            assert gateway is not None
-            hops.append((domain_id, gateway))
-        member_path = self.network.domain_path(leaf_id)
-        start = member_path.index(lca)
-        for upper, lower in zip(member_path[start:], member_path[start + 1 :]):
-            gateway = self.network.domains[lower].gateway
-            assert gateway is not None
-            hops.append((upper, gateway))
-        hops.append((leaf_id, member))
-        return hops
+        """(domain, exit node) hops the data crosses from S to ``member``:
+        the relays of :meth:`_relay_requirements`, then the member itself."""
+        return self._relay_requirements(leaf_id) + [(leaf_id, member)]
 
     def _protocol_for(self, domain_id: int) -> SMRPProtocol:
         if domain_id not in self._protocols:
@@ -425,10 +426,7 @@ class NLevelMulticast:
         if domain_id not in self._graphs:
             domain = self.network.domains[domain_id]
             nodes = set(domain.nodes)
-            for child_id in domain.children:
-                gateway = self.network.domains[child_id].gateway
-                assert gateway is not None
-                nodes.add(gateway)
+            nodes.update(self._gateway(child_id) for child_id in domain.children)
             graph = Topology(f"nlevel-domain-{domain_id}")
             for node in sorted(nodes):
                 graph.add_node(node, pos=self.network.topology.position(node))

@@ -40,6 +40,13 @@ from repro.routing.failure_view import NO_FAILURES, FailureSet
 from repro.routing.route_cache import RouteCache
 
 
+#: Cap on the cascading reshape rounds after one membership event (and on
+#: the rounds of one periodic pass), preventing livelock on adversarial
+#: topologies.  Each round re-evaluates the members only: every receiver
+#: moves together with its subtree (§3.2.3).
+MAX_RESHAPE_ROUNDS = 10
+
+
 @dataclass(frozen=True)
 class SMRPConfig:
     """Protocol configuration.
@@ -54,13 +61,6 @@ class SMRPConfig:
         turns it off.
     reshape_shr_threshold:
         Condition I threshold on ``SHR_{S,R_u} − SHR^{old}_{S,R_u}``.
-    reshape_scope:
-        ``"members"`` — only receivers re-evaluate their paths (each moves
-        with its subtree); ``"all"`` — every non-source on-tree node does
-        (closest to the paper's per-node timers, more churn).
-    max_reshape_rounds:
-        Cap on cascading reshapes processed after a single membership
-        event, preventing livelock on adversarial topologies.
     knowledge:
         ``"full"`` — members know the topology and all SHR values
         (§3.2.2's assumption); ``"query"`` — the neighbor-relay query
@@ -78,8 +78,6 @@ class SMRPConfig:
     d_thresh: float = 0.3
     reshape_enabled: bool = True
     reshape_shr_threshold: int = 2
-    reshape_scope: str = "members"
-    max_reshape_rounds: int = 10
     knowledge: str = "full"
     state_mode: str = "eager"
     allow_fallback: bool = True
@@ -88,14 +86,10 @@ class SMRPConfig:
     def __post_init__(self) -> None:
         if self.d_thresh < 0:
             raise ConfigurationError(f"d_thresh must be >= 0, got {self.d_thresh}")
-        if self.reshape_scope not in ("members", "all"):
-            raise ConfigurationError(
-                f"unknown reshape_scope {self.reshape_scope!r}"
-            )
         if self.knowledge not in ("full", "query"):
             raise ConfigurationError(f"unknown knowledge mode {self.knowledge!r}")
-        if self.max_reshape_rounds < 0:
-            raise ConfigurationError("max_reshape_rounds must be >= 0")
+        if self.state_mode not in ("eager", "deferred"):
+            raise ConfigurationError(f"unknown state mode {self.state_mode!r}")
 
 
 @dataclass
@@ -263,14 +257,14 @@ class SMRPProtocol:
     # Reshaping
     # ------------------------------------------------------------------
     def periodic_reshape(self) -> list[ReshapeDecision]:
-        """Condition II: every in-scope node re-runs path selection.
+        """Condition II: every member re-runs path selection.
 
         Returns the decisions of the performed reshapes, in order.
         """
         performed: list[ReshapeDecision] = []
-        for _ in range(max(self.config.max_reshape_rounds, 1)):
+        for _ in range(MAX_RESHAPE_ROUNDS):
             moved = False
-            for node in self._reshape_scope_nodes():
+            for node in sorted(self.tree.members):
                 decision = self._reshape_once(node)
                 if decision is not None and decision.performed:
                     performed.append(decision)
@@ -286,10 +280,10 @@ class SMRPProtocol:
             return
         # Condition I: nodes whose upstream SHR grew past the threshold
         # since their last reshape re-run path selection.
-        for _ in range(max(self.config.max_reshape_rounds, 1)):
+        for _ in range(MAX_RESHAPE_ROUNDS):
             triggered = [
                 node
-                for node in self._reshape_scope_nodes()
+                for node in sorted(self.tree.members)
                 if self.state.condition_i_delta(node)
                 >= self.config.reshape_shr_threshold
             ]
@@ -328,11 +322,6 @@ class SMRPProtocol:
         # new Condition-I baseline whether or not the node moved.
         self.state.record_reshape_baseline(node)
         return decision
-
-    def _reshape_scope_nodes(self) -> list[NodeId]:
-        if self.config.reshape_scope == "members":
-            return sorted(self.tree.members)
-        return [n for n in self.tree.on_tree_nodes() if n != self.source]
 
     # ------------------------------------------------------------------
     # Recovery and introspection

@@ -14,7 +14,7 @@
 - :mod:`repro.experiments.tables` — plain-text rendering of the series,
 - :mod:`repro.experiments.report` — CSV/JSON/Markdown export of results.
 
-The harness entry points are exported by the stable facade
-:mod:`repro.api` (``from repro.api import run_scenario``); this package
-re-exports nothing itself.
+The harness entry points are the verbs of a session from the stable
+facade :mod:`repro.api` (``with open_session() as session:
+session.run_scenario(...)``); this package re-exports nothing itself.
 """

@@ -80,8 +80,8 @@ def run_phase_figure(
     group_size: int = 30,
     alpha: float = 0.2,
     d_thresh: float = 0.3,
-    topologies: int = 4,
-    member_sets: int = 2,
+    topologies: int = 10,
+    member_sets: int = 10,
     seed_offset: int = 0,
     obs=None,
     executor: "Executor | None" = None,

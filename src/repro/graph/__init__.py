@@ -7,7 +7,10 @@ random-graph model; this subpackage provides a from-scratch equivalent:
   container (delay/cost-weighted undirected graph with validation helpers),
 - :mod:`repro.graph.placement` — node placement models on the plane,
 - :mod:`repro.graph.waxman` — the Waxman model (flat random graphs),
-- :mod:`repro.graph.transit_stub` — transit-stub hierarchical topologies,
+- :mod:`repro.graph.nlevel` — nested recovery-domain hierarchies
+  (:class:`~repro.graph.nlevel.NLevelNetwork`),
+- :mod:`repro.graph.transit_stub` — the paper's 2-level transit-stub
+  networks, each a depth-2 :class:`~repro.graph.nlevel.NLevelNetwork`,
 - :mod:`repro.graph.generators` — deterministic fixtures, including the
   paper's worked-example topologies (Figures 1 and 4),
 - :mod:`repro.graph.cache` — content-keyed topology caching for seeded

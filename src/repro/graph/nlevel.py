@@ -14,8 +14,12 @@ to its parent domain.  This generator produces such nested topologies:
   clustered into the lowest level").
 
 The result records the domain tree (parent/children), each domain's
-gateway and attachment, and the domain of every node, which is exactly
+gateway and attachments, and the domain of every node, which is exactly
 what :class:`repro.core.nlevel.NLevelMulticast` needs to scope recovery.
+The paper's own 2-level transit-stub network
+(:func:`repro.graph.transit_stub.transit_stub_topology`) is an
+:class:`NLevelNetwork` of depth 2 built through the same
+:meth:`NLevelNetwork.add_domain`.
 """
 
 from __future__ import annotations
@@ -94,7 +98,6 @@ class NLevelNetwork:
     """Generated topology plus the domain hierarchy."""
 
     topology: Topology
-    specs: tuple[LevelSpec, ...]
     domains: list[NestedDomain] = field(default_factory=list)
     domain_of: dict[NodeId, int] = field(default_factory=dict)
 
@@ -104,7 +107,37 @@ class NLevelNetwork:
 
     @property
     def depth(self) -> int:
-        return len(self.specs)
+        return 1 + max(d.level for d in self.domains)
+
+    def add_domain(
+        self, sub: Topology, parent: NestedDomain | None = None
+    ) -> NestedDomain:
+        """Copy ``sub`` in as a new domain below ``parent``.
+
+        Node ids shift past every node already in the network.  A child
+        domain's gateway is its node nearest the centroid; the caller
+        links it (and any standbys) into the parent.
+        """
+        offset = self.topology.num_nodes
+        for node in sub.nodes():
+            self.topology.add_node(node + offset, pos=sub.position(node))
+        for link in sub.links():
+            self.topology.add_link(
+                link.u + offset, link.v + offset, delay=link.delay, cost=link.cost
+            )
+        domain = NestedDomain(
+            domain_id=len(self.domains),
+            level=0 if parent is None else parent.level + 1,
+            nodes={n + offset for n in sub.nodes()},
+        )
+        if parent is not None:
+            domain.parent = parent.domain_id
+            domain.gateway = _central_node(sub, offset)
+            parent.children.append(domain.domain_id)
+        self.domains.append(domain)
+        for node in domain.nodes:
+            self.domain_of[node] = domain.domain_id
+        return domain
 
     def leaf_domains(self) -> list[NestedDomain]:
         return [d for d in self.domains if d.is_leaf]
@@ -147,14 +180,10 @@ def n_level_topology(specs: list[LevelSpec], seed: int = 0) -> NLevelNetwork:
             raise ConfigurationError(f"non-leaf level {k} must have fanout > 0")
 
     rng = np.random.default_rng(seed)
-    topo = Topology(f"nlevel(depth={len(specs)},seed={seed})")
-    network = NLevelNetwork(topology=topo, specs=tuple(specs))
-
-    next_node = 0
-    frontier: list[int] = []
+    network = NLevelNetwork(Topology(f"nlevel(depth={len(specs)},seed={seed})"))
+    topo = network.topology
 
     def create_domain(level: int, parent: NestedDomain | None) -> NestedDomain:
-        nonlocal next_node
         spec = specs[level]
         sub = waxman_topology(
             WaxmanConfig(
@@ -165,58 +194,33 @@ def n_level_topology(specs: list[LevelSpec], seed: int = 0) -> NLevelNetwork:
                 seed=int(rng.integers(2**31 - 1)),
             )
         ).topology
-        domain = NestedDomain(
-            domain_id=len(network.domains),
-            level=level,
-            parent=None if parent is None else parent.domain_id,
+        domain = network.add_domain(sub, parent)
+        if parent is None:
+            return domain
+        parent_nodes = sorted(parent.nodes)
+        # Primary attachment rotates over the parent's nodes (by the
+        # child's rank among its siblings) so child domains spread out;
+        # backups go to the following nodes.
+        start = parent.children.index(domain.domain_id) % len(parent_nodes)
+        redundancy = min(spec.gateway_redundancy, len(parent_nodes))
+        attachments = []
+        for k in range(redundancy):
+            target = parent_nodes[(start + k) % len(parent_nodes)]
+            delay = spec.gateway_delay * (1.0 if k == 0 else 1.5)
+            topo.add_link(domain.gateway, target, delay=delay)
+            attachments.append(target)
+        domain.attachments = tuple(attachments)
+        # Standby agents: distinct domain nodes, each with its own
+        # (longer) uplink to the primary attachment — alive spares
+        # for agent failover.
+        spare_pool = sorted(
+            (n for n in domain.nodes if n != domain.gateway),
+            key=lambda n: (-topo.degree(n), n),
         )
-        offset = next_node
-        for node in sub.nodes():
-            topo.add_node(node + offset, pos=sub.position(node))
-        for link in sub.links():
-            topo.add_link(
-                link.u + offset, link.v + offset, delay=link.delay, cost=link.cost
-            )
-        domain.nodes = {n + offset for n in sub.nodes()}
-        next_node += spec.size
-
-        if parent is not None:
-            domain.gateway = _central_node(sub, offset)
-            parent_nodes = sorted(parent.nodes)
-            # Primary attachment rotates over the parent's nodes so child
-            # domains spread out; backups go to the following nodes.
-            start = len(parent.children) % len(parent_nodes)
-            redundancy = min(spec.gateway_redundancy, len(parent_nodes))
-            attachments = []
-            for k in range(redundancy):
-                target = parent_nodes[(start + k) % len(parent_nodes)]
-                delay = spec.gateway_delay * (1.0 if k == 0 else 1.5)
-                topo.add_link(domain.gateway, target, delay=delay)
-                attachments.append(target)
-            domain.attachments = tuple(attachments)
-            # Standby agents: distinct domain nodes, each with its own
-            # (longer) uplink to the primary attachment — alive spares
-            # for agent failover.
-            standbys = []
-            spare_pool = [
-                n + offset
-                for n in sorted(
-                    sub.nodes(),
-                    key=lambda n: (sub.degree(n) * -1, n),
-                )
-                if n + offset != domain.gateway
-            ]
-            for k in range(min(spec.standby_gateways, len(spare_pool))):
-                standby = spare_pool[k]
-                topo.add_link(
-                    standby, attachments[0], delay=spec.gateway_delay * 1.5
-                )
-                standbys.append(standby)
-            domain.standbys = tuple(standbys)
-            parent.children.append(domain.domain_id)
-        network.domains.append(domain)
-        for node in domain.nodes:
-            network.domain_of[node] = domain.domain_id
+        standbys = spare_pool[: spec.standby_gateways]
+        for standby in standbys:
+            topo.add_link(standby, attachments[0], delay=spec.gateway_delay * 1.5)
+        domain.standbys = tuple(standbys)
         return domain
 
     root = create_domain(0, None)

@@ -9,19 +9,20 @@ GT-ITM ships a transit-stub generator; this module is a from-scratch
 equivalent at the scale the paper needs.  A single transit (backbone)
 domain is generated as a Waxman graph; each transit node sponsors a number
 of stub domains, each itself a small Waxman graph attached to its transit
-node via a gateway link.  The result records which domain every node
-belongs to so the hierarchical protocol can scope recovery.
+node via a gateway link.  The result is an
+:class:`~repro.graph.nlevel.NLevelNetwork` of depth 2, so the paper's
+Figure 6 session is :class:`~repro.core.nlevel.NLevelMulticast` over it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.graph.placement import euclidean
-from repro.graph.topology import NodeId, Topology
+from repro.graph.nlevel import NLevelNetwork
+from repro.graph.topology import Topology
 from repro.graph.waxman import WaxmanConfig, waxman_topology
 
 
@@ -96,59 +97,25 @@ class TransitStubConfig:
         return self.transit_nodes * (1 + self.stubs_per_transit * self.stub_size)
 
 
-@dataclass
-class Domain:
-    """A recovery domain: a set of nodes plus its gateway into the parent level.
+def transit_stub_topology(config: TransitStubConfig) -> NLevelNetwork:
+    """Generate a 2-level transit-stub topology as an :class:`NLevelNetwork`.
 
-    ``level`` is 0 for the transit backbone and 1 for stub domains, matching
-    the paper's L0/L1 terminology in Figure 6.  For a stub domain the
-    ``gateway`` is the stub-side endpoint of the link to the transit node
-    (the natural home for the domain's recovery agent), and ``attachment``
-    is the transit node it connects to.
-    """
-
-    domain_id: int
-    level: int
-    nodes: set[NodeId] = field(default_factory=set)
-    gateway: NodeId | None = None
-    attachment: NodeId | None = None
-
-
-@dataclass
-class TransitStubResult:
-    """Generated topology plus domain structure."""
-
-    topology: Topology
-    config: TransitStubConfig
-    domains: list[Domain] = field(default_factory=list)
-    domain_of: dict[NodeId, int] = field(default_factory=dict)
-
-    @property
-    def transit_domain(self) -> Domain:
-        return self.domains[0]
-
-    @property
-    def stub_domains(self) -> list[Domain]:
-        return self.domains[1:]
-
-
-def transit_stub_topology(config: TransitStubConfig) -> TransitStubResult:
-    """Generate a 2-level transit-stub topology.
-
-    Node ids are assigned contiguously: transit nodes first, then each stub
-    domain's nodes in generation order.
+    The backbone is root domain 0 (level 0, Figure 6's RD0); every stub is
+    a leaf domain (level 1) whose gateway links to its primary transit
+    router ``attachments[0]`` and to ``gateway_redundancy - 1`` backup
+    routers.  Stubs have no standby agents.  Node ids are assigned
+    contiguously: transit nodes first, then each stub domain's nodes in
+    generation order.
     """
     rng = np.random.default_rng(config.seed)
     seed_stream = rng.integers(0, 2**31 - 1, size=1 + config.transit_nodes
                                * config.stubs_per_transit)
 
-    topo = Topology(
+    network = NLevelNetwork(Topology(
         f"transit_stub(t={config.transit_nodes},"
         f"s={config.stubs_per_transit}x{config.stub_size},seed={config.seed})"
-    )
-    result = TransitStubResult(topology=topo, config=config)
-
-    transit = waxman_topology(
+    ))
+    transit = network.add_domain(waxman_topology(
         WaxmanConfig(
             n=config.transit_nodes,
             alpha=config.transit_alpha,
@@ -156,70 +123,29 @@ def transit_stub_topology(config: TransitStubConfig) -> TransitStubResult:
             scale=config.transit_scale,
             seed=int(seed_stream[0]),
         )
-    )
-    transit_domain = Domain(domain_id=0, level=0)
-    _splice(topo, transit.topology, offset=0)
-    transit_domain.nodes = set(range(config.transit_nodes))
-    result.domains.append(transit_domain)
-    for node in transit_domain.nodes:
-        result.domain_of[node] = 0
+    ).topology)
 
-    next_id = config.transit_nodes
-    next_seed = 1
+    stub_seeds = iter(seed_stream[1:])
     for transit_node in range(config.transit_nodes):
         for _ in range(config.stubs_per_transit):
-            stub = waxman_topology(
+            stub = network.add_domain(waxman_topology(
                 WaxmanConfig(
                     n=config.stub_size,
                     alpha=config.stub_alpha,
                     beta=config.beta,
                     scale=config.stub_scale,
-                    seed=int(seed_stream[next_seed]),
+                    seed=int(next(stub_seeds)),
                 )
-            )
-            next_seed += 1
-            domain = Domain(domain_id=len(result.domains), level=1)
-            _splice(topo, stub.topology, offset=next_id)
-            domain.nodes = set(range(next_id, next_id + config.stub_size))
-            # The gateway is the stub node closest to the stub's own centre —
-            # deterministic given the stub layout.
-            gateway = _central_node(stub.topology, base=next_id)
-            domain.gateway = gateway
-            domain.attachment = transit_node
-            topo.add_link(gateway, transit_node, delay=config.gateway_delay)
+            ).topology, parent=transit)
             # Backup attachments (multi-homing): longer links to further
             # transit routers, giving the transit recovery domain detours.
-            for k in range(1, config.gateway_redundancy):
-                backup = (transit_node + k) % config.transit_nodes
-                topo.add_link(
-                    gateway, backup, delay=config.gateway_delay * 1.5
-                )
-            result.domains.append(domain)
-            for node in domain.nodes:
-                result.domain_of[node] = domain.domain_id
-            next_id += config.stub_size
+            stub.attachments = tuple(
+                (transit_node + k) % config.transit_nodes
+                for k in range(config.gateway_redundancy)
+            )
+            for k, attachment in enumerate(stub.attachments):
+                delay = config.gateway_delay * (1.5 if k else 1.0)
+                network.topology.add_link(stub.gateway, attachment, delay=delay)
 
-    topo.validate()
-    return result
-
-
-def _splice(target: Topology, source: Topology, offset: int) -> None:
-    """Copy ``source`` into ``target`` with node ids shifted by ``offset``."""
-    for node in source.nodes():
-        target.add_node(node + offset, pos=source.position(node))
-    for link in source.links():
-        target.add_link(
-            link.u + offset, link.v + offset, delay=link.delay, cost=link.cost
-        )
-
-
-def _central_node(stub: Topology, base: int) -> NodeId:
-    """Pick the stub node closest to the centroid of the stub's positions."""
-    nodes = stub.nodes()
-    positions = [stub.position(n) for n in nodes]
-    if any(p is None for p in positions):
-        return base + nodes[0]
-    cx = sum(p[0] for p in positions) / len(positions)
-    cy = sum(p[1] for p in positions) / len(positions)
-    best = min(nodes, key=lambda n: (euclidean(stub.position(n), (cx, cy)), n))
-    return base + best
+    network.topology.validate()
+    return network

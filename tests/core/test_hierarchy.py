@@ -1,10 +1,15 @@
-"""Tests for the hierarchical recovery architecture (§3.3.3)."""
+"""Tests for the 2-level hierarchical recovery architecture (§3.3.3).
+
+The paper's Figure 6 session: :class:`NLevelMulticast` at depth 2 over a
+transit-stub network, whose backbone is the root domain and whose stubs
+are the leaf domains.
+"""
 
 import pytest
 
 from repro.errors import AlreadyMemberError, ConfigurationError, NotMemberError
 from repro.graph.transit_stub import TransitStubConfig, transit_stub_topology
-from repro.core.hierarchy import HierarchicalMulticast
+from repro.core.nlevel import NLevelMulticast
 from repro.core.protocol import SMRPConfig
 from repro.multicast.validation import check_tree_invariants
 from repro.routing.failure_view import FailureSet
@@ -21,54 +26,54 @@ def network():
 
 def pick_source(network):
     """A non-gateway node of the first stub domain."""
-    stub = network.stub_domains[0]
+    stub = network.leaf_domains()[0]
     return min(n for n in stub.nodes if n != stub.gateway)
 
 
 def pick_member(network, domain_index):
-    stub = network.stub_domains[domain_index]
+    stub = network.leaf_domains()[domain_index]
     return max(n for n in stub.nodes if n != stub.gateway)
 
 
 class TestSetup:
     def test_source_must_be_stub_node(self, network):
-        transit_node = min(network.transit_domain.nodes)
+        transit_node = min(network.root.nodes)
         with pytest.raises(ConfigurationError):
-            HierarchicalMulticast(network, transit_node)
+            NLevelMulticast(network, transit_node)
 
     def test_unknown_source_rejected(self, network):
         with pytest.raises(ConfigurationError):
-            HierarchicalMulticast(network, 10_000)
+            NLevelMulticast(network, 10_000)
 
 
 class TestMembership:
     def test_same_domain_join_stays_local(self, network):
-        session = HierarchicalMulticast(network, pick_source(network))
+        session = NLevelMulticast(network, pick_source(network))
         member = pick_member(network, 0)
         session.join(member)
-        assert session.active_domains() == [network.stub_domains[0].domain_id]
+        assert session.active_domains() == [network.leaf_domains()[0].domain_id]
 
     def test_remote_join_activates_chain(self, network):
-        session = HierarchicalMulticast(network, pick_source(network))
+        session = NLevelMulticast(network, pick_source(network))
         member = pick_member(network, 3)
         session.join(member)
         active = session.active_domains()
         assert 0 in active  # transit domain
-        assert network.stub_domains[0].domain_id in active  # source domain
+        assert network.leaf_domains()[0].domain_id in active  # source domain
         assert network.domain_of[member] in active
         # The remote domain's agent is a member of the transit tree.
         transit_tree = session.protocol(0).tree
         assert transit_tree.is_member(network.domains[network.domain_of[member]].gateway)
 
     def test_double_join_rejected(self, network):
-        session = HierarchicalMulticast(network, pick_source(network))
+        session = NLevelMulticast(network, pick_source(network))
         member = pick_member(network, 1)
         session.join(member)
         with pytest.raises(AlreadyMemberError):
             session.join(member)
 
     def test_leave_deactivates_empty_chain(self, network):
-        session = HierarchicalMulticast(network, pick_source(network))
+        session = NLevelMulticast(network, pick_source(network))
         member = pick_member(network, 2)
         session.join(member)
         session.leave(member)
@@ -76,19 +81,19 @@ class TestMembership:
         assert 0 not in session.active_domains()
 
     def test_leave_unknown_rejected(self, network):
-        session = HierarchicalMulticast(network, pick_source(network))
+        session = NLevelMulticast(network, pick_source(network))
         with pytest.raises(NotMemberError):
             session.leave(pick_member(network, 2))
 
     def test_backbone_member_rejected(self, network):
-        session = HierarchicalMulticast(network, pick_source(network))
+        session = NLevelMulticast(network, pick_source(network))
         with pytest.raises(ConfigurationError):
-            session.join(min(network.transit_domain.nodes))
+            session.join(min(network.root.nodes))
 
 
 class TestMetrics:
     def test_end_to_end_delay_positive_and_composite(self, network):
-        session = HierarchicalMulticast(network, pick_source(network))
+        session = NLevelMulticast(network, pick_source(network))
         local = pick_member(network, 0)
         remote = pick_member(network, 4)
         session.join(local)
@@ -99,7 +104,7 @@ class TestMetrics:
         assert session.end_to_end_delay(remote) > session.end_to_end_delay(local)
 
     def test_total_cost_sums_domains(self, network):
-        session = HierarchicalMulticast(network, pick_source(network))
+        session = NLevelMulticast(network, pick_source(network))
         session.join(pick_member(network, 0))
         base_cost = session.total_cost()
         session.join(pick_member(network, 3))
@@ -109,7 +114,7 @@ class TestMetrics:
 class TestDomainConfinedRecovery:
     def test_stub_failure_confined(self, network):
         """A failure inside a member's stub reconfigures only that stub."""
-        session = HierarchicalMulticast(
+        session = NLevelMulticast(
             network, pick_source(network), config=SMRPConfig(d_thresh=0.5)
         )
         remote = pick_member(network, 3)
@@ -126,7 +131,7 @@ class TestDomainConfinedRecovery:
 
     def test_transit_failure_spares_stubs(self, network):
         """A backbone failure reconfigures the transit domain only."""
-        session = HierarchicalMulticast(network, pick_source(network))
+        session = NLevelMulticast(network, pick_source(network))
         members = [pick_member(network, i) for i in (1, 3, 5)]
         for m in members:
             session.join(m)
@@ -142,7 +147,7 @@ class TestDomainConfinedRecovery:
     def test_agent_node_failure_marks_domain_dead(self, network):
         """A dead agent cannot be healed by confined recovery; the domain
         is reported dead instead of crashing the session."""
-        session = HierarchicalMulticast(network, pick_source(network))
+        session = NLevelMulticast(network, pick_source(network))
         member = pick_member(network, 3)
         session.join(member)
         domain = network.domains[network.domain_of[member]]
@@ -152,11 +157,45 @@ class TestDomainConfinedRecovery:
         # Other domains were never touched.
         assert domain.domain_id not in session.active_domains()
 
+    def test_source_failure_kills_source_domain(self, network):
+        """The source is the source domain's tree root: that domain is
+        dead, and every member is served through it."""
+        source = pick_source(network)
+        session = NLevelMulticast(network, source)
+        for index in (0, 3):
+            session.join(pick_member(network, index))
+        report = session.recover(FailureSet.nodes(source))
+        assert report.dead_domains == [network.domain_of[source]]
+        assert report.domains_reconfigured == []
+        assert session.members == frozenset()
+
+    def test_source_agent_failure_kills_backbone_domain(self, network):
+        """The source domain's agent roots the transit tree: the transit
+        domain is dead, so remote members leave and local ones stay."""
+        source = pick_source(network)
+        session = NLevelMulticast(network, source)
+        agent = network.leaf_domains()[0].gateway
+        # A neighbour of the source keeps its path when the agent dies.
+        local = next(
+            n
+            for n in sorted(network.leaf_domains()[0].nodes)
+            if n != agent and network.topology.has_link(source, n)
+        )
+        remote = pick_member(network, 3)
+        session.join(local)
+        session.join(remote)
+        report = session.recover(FailureSet.nodes(agent))
+        assert report.dead_domains == [network.root.domain_id]
+        assert network.root.domain_id not in session.active_domains()
+        assert remote not in session.members
+        assert local in session.members
+        assert session.end_to_end_delay(local) > 0
+
     def test_unrelated_failure_touches_nothing(self, network):
-        session = HierarchicalMulticast(network, pick_source(network))
+        session = NLevelMulticast(network, pick_source(network))
         session.join(pick_member(network, 0))
         # Fail a link in an inactive stub domain.
-        idle = network.stub_domains[4]
+        idle = network.leaf_domains()[4]
         internal = [
             l.key
             for l in network.topology.links()

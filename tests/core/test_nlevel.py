@@ -154,6 +154,27 @@ class TestRecovery:
         report = session.recover(FailureSet.links(links[0]))
         assert set(report.domains_reconfigured) <= {mid_id}
 
+    def test_agent_failover_stays_in_its_session(self, network):
+        """Two sessions share one network: promoting a standby in the
+        first must not re-route the second."""
+        first, second = (
+            NLevelMulticast(
+                network, leaf_member(network, 0), config=SMRPConfig(d_thresh=0.5)
+            )
+            for _ in range(2)
+        )
+        member = leaf_member(network, 1)
+        first.join(member)
+        second.join(member)
+        before = second.end_to_end_delay(member)
+        leaf = network.domains[network.domain_of[member]]
+        gateway = leaf.gateway
+        report = first.recover(FailureSet.nodes(gateway))
+        assert report.failovers.get(leaf.domain_id) == leaf.standbys[0]
+        assert second.end_to_end_delay(member) == before
+        assert first.end_to_end_delay(member) > 0
+        assert leaf.gateway == gateway
+
     def test_unrelated_failure_touches_nothing(self, network, session):
         member = leaf_member(network, 1)
         session.join(member)

@@ -23,9 +23,8 @@ class TestConfig:
         "kwargs",
         [
             {"d_thresh": -0.1},
-            {"reshape_scope": "everyone"},
+            {"state_mode": "lazy"},
             {"knowledge": "oracle"},
-            {"max_reshape_rounds": -1},
         ],
     )
     def test_rejects_bad_values(self, kwargs):

@@ -426,14 +426,15 @@ class TestCheckpointStore:
 
 class TestApiIntegration:
     def test_run_sweep_policy_kwarg(self, serial_points):
-        from repro.api import run_sweep
+        from repro.api import open_session
 
-        points = run_sweep(SPEC, jobs=2, policy=ExecPolicy(**FAST))
+        with open_session(jobs=2, policy=ExecPolicy(**FAST)) as session:
+            points = session.run_sweep(SPEC)
         assert results_digest(points) == results_digest(serial_points)
 
     def test_policy_and_executor_are_mutually_exclusive(self):
-        from repro.api import run_sweep
+        from repro.api import open_session
 
         with SerialExecutor() as ex:
             with pytest.raises(ConfigurationError, match="not both"):
-                run_sweep(SPEC, executor=ex, policy=ExecPolicy())
+                open_session(executor=ex, policy=ExecPolicy())

@@ -208,18 +208,19 @@ class TestPolicyAndFactory:
             ex.close()
 
     def test_api_rejects_telemetry_with_explicit_executor(self):
-        from repro.api import run_sweep
+        from repro.api import open_session
 
         hub = TelemetryHub()
         with SerialExecutor() as ex:
             with pytest.raises(ConfigurationError, match="telemetry"):
-                run_sweep(SPEC, executor=ex, telemetry=hub)
+                open_session(executor=ex, telemetry=hub)
 
     def test_api_run_sweep_with_telemetry(self, serial_points):
-        from repro.api import run_sweep
+        from repro.api import open_session
 
         sink = CollectSink()
         with TelemetryHub(sinks=[sink]) as hub:
-            points = run_sweep(SPEC, telemetry=hub)
+            with open_session(telemetry=hub) as session:
+                points = session.run_sweep(SPEC)
         assert results_digest(points) == results_digest(serial_points)
         assert sink.kinds().count("scenario.finish") == 4

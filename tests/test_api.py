@@ -1,6 +1,7 @@
 """The ``repro.api`` facade and the harness import paths."""
 
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -11,13 +12,24 @@ from repro.api import (
     SerialExecutor,
     ServiceSpec,
     Session,
-    build_figure,
     open_session,
-    run_scenario,
-    run_service,
-    run_sweep,
 )
 from repro.errors import ConfigurationError
+
+
+def run_scenario(*args, **kwargs):
+    with open_session() as session:
+        return session.run_scenario(*args, **kwargs)
+
+
+def run_sweep(spec, **options):
+    with open_session(**options) as session:
+        return session.run_sweep(spec)
+
+
+def build_figure(figure, **kwargs):
+    with open_session() as session:
+        return session.build_figure(figure, **kwargs)
 
 
 class TestRunScenario:
@@ -57,7 +69,7 @@ class TestRunSweep:
     def test_explicit_executor_stays_open(self):
         with SerialExecutor() as ex:
             run_sweep(self.SPEC, executor=ex)
-            # Second use proves the facade did not close it.
+            # Second use proves the session did not close it.
             run_sweep(self.SPEC, executor=ex)
 
     def test_rejects_executor_and_jobs_together(self):
@@ -68,6 +80,22 @@ class TestRunSweep:
     def test_rejects_bad_jobs(self):
         with pytest.raises(ConfigurationError, match="jobs must be >= 1"):
             run_sweep(self.SPEC, jobs=0)
+
+
+#: Keyword overrides that shrink each registered figure to a few seconds.
+SMALL_FIGURES = {
+    "fig7": dict(topologies=1, n=24, group_size=5, alpha=0.5),
+    "fig8": dict(values=[0.3], n=24, group_size=5, alpha=0.5,
+                 topologies=1, member_sets=1),
+    "fig9": dict(values=[0.5], n=24, group_size=5, topologies=1,
+                 member_sets=1),
+    "fig10": dict(values=[5], n=24, alpha=0.5, topologies=1, member_sets=1),
+    "protection": dict(rates=(0.1,), n=24, group_size=5, topologies=1,
+                       member_sets=1, trials=1),
+    "distribution": dict(groups=4, n=24, sources=2, shard_size=2),
+    "phases": dict(n=24, group_size=5, alpha=0.5, topologies=1,
+                   member_sets=1),
+}
 
 
 class TestBuildFigure:
@@ -89,6 +117,22 @@ class TestBuildFigure:
     def test_unknown_figure_rejected(self):
         with pytest.raises(ConfigurationError, match="unknown figure"):
             build_figure(11)
+
+    def test_small_overrides_cover_every_figure(self):
+        assert set(SMALL_FIGURES) == set(api._FIGURES)
+
+    @pytest.mark.parametrize("name", sorted(SMALL_FIGURES))
+    def test_every_figure_builds_quick(self, name):
+        """Each quick preset only names keywords its driver takes."""
+        assert build_figure(name, quick=True, **SMALL_FIGURES[name]).render()
+
+    def test_quick_protection_is_the_cli_preset(self):
+        """``repro protection --quick`` prints this table (golden file)."""
+        golden = Path(__file__).resolve().parents[1] / (
+            "benchmarks/golden/protection_quick.txt"
+        )
+        table = build_figure("protection", quick=True).render()
+        assert table in golden.read_text()
 
 
 class TestSession:
@@ -139,7 +183,8 @@ class TestSession:
                 session.run_service()
 
     def test_run_service_matches_one_shot_verb(self):
-        one_shot = run_service(self.SERVICE)
+        with open_session() as session:
+            one_shot = session.run_service(self.SERVICE)
         with open_session(spec=self.SERVICE) as session:
             via_session = session.run_service()
         assert via_session.render_table() == one_shot.render_table()
