@@ -1217,7 +1217,7 @@ def _cmd_info(args: argparse.Namespace) -> int:
     print(f"repro {repro.__version__} — SMRP (Wu & Shin, DSN 2005) reproduction")
     components = [
         ("repro.graph", "Waxman / transit-stub / N-level topologies"),
-        ("repro.routing", "SPF, routing tables, KSP, disjoint pairs, LSDB"),
+        ("repro.routing", "SPF, routing tables, disjoint pairs, LSDB"),
         ("repro.multicast", "tree structure, SPF/TM baselines, protection"),
         ("repro.core", "SMRP: SHR, join/leave, reshaping, recovery, domains"),
         ("repro.sim", "discrete-event simulator + distributed protocol"),

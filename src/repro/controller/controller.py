@@ -362,16 +362,27 @@ class MulticastController:
                 bucket.discard(gid)
 
     def _refresh_index(self) -> None:
+        """Re-index every dirty group by the difference between the links
+        and nodes it was indexed under and the ones its tree has now — a
+        repair or a join changes a few, not the whole tree."""
+        by_link = self._by_link
+        by_node = self._by_node
         for gid, hosted in self._groups.items():
             if not hosted.dirty:
                 continue
-            self._drop_from_index(gid, hosted)
-            hosted.links = frozenset(hosted.engine.tree.tree_links())
-            hosted.nodes = frozenset(hosted.engine.tree.on_tree_nodes())
-            for link in hosted.links:
-                self._by_link.setdefault(link, set()).add(gid)
-            for node in hosted.nodes:
-                self._by_node.setdefault(node, set()).add(gid)
+            tree = hosted.engine.tree
+            links = frozenset(tree.tree_links())
+            nodes = frozenset(tree.children_map())
+            for link in hosted.links - links:
+                by_link[link].discard(gid)
+            for node in hosted.nodes - nodes:
+                by_node[node].discard(gid)
+            for link in links - hosted.links:
+                by_link.setdefault(link, set()).add(gid)
+            for node in nodes - hosted.nodes:
+                by_node.setdefault(node, set()).add(gid)
+            hosted.links = links
+            hosted.nodes = nodes
             hosted.dirty = False
 
     def fail(self, failures: FailureSet) -> list[GroupId]:
@@ -384,6 +395,8 @@ class MulticastController:
             return []
         with self.obs.span("controller.fail"):
             self._refresh_index()
+            # Candidates come from the index; affected_by then looks at
+            # the failed components only, not at the candidate's tree.
             candidates: set = set()
             for u, v in failures.iter_failed_links():
                 candidates |= self._by_link.get(edge_key(u, v), set())

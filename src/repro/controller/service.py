@@ -32,6 +32,7 @@ from repro.controller.spec import ServiceSpec, resolve_failure
 from repro.controller.workload import build_workload, group_sources
 from repro.core.protocol import SMRPConfig
 from repro.errors import CheckpointError
+from repro.experiments.tables import format_table
 from repro.obs import NULL_OBS
 
 #: Bumped when :class:`ShardResult`'s serialised layout changes, so a
@@ -207,10 +208,6 @@ class ServiceReport:
         return sum(row.unrecoverable for row in self.rows)
 
     def render_table(self) -> str:
-        # Imported here: the table module pulls in scipy, which the CLI
-        # would otherwise load just to list the controller's engines.
-        from repro.experiments.tables import format_table
-
         spec = self.spec
         lines = [
             f"service {spec.content_key()}",

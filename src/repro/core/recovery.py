@@ -23,20 +23,28 @@ is D→C and hence RD_D = 2").
 The per-member *measurement* functions never mutate the tree;
 :func:`repair_tree` actually restores a whole session (all disconnected
 members) and returns the repaired tree.
+
+Each detour is one question asked of the member's post-failure search
+(:class:`~repro.routing.spf.PathSearch`): the nearest surviving node for
+a local detour, the source for a global one.  The search settles nodes
+only until that answer is final and resumes for the next question, so
+no detour pays for a full post-failure SPF, and every answer equals the
+full search's (DESIGN.md §6).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 from repro.errors import RecoveryError, UnrecoverableFailureError
 from repro.graph.topology import Edge, NodeId, Topology, edge_key
 from repro.multicast.tree import MulticastTree
 from repro.obs import NULL_OBS, Observability
 from repro.obs.tracing import Episode, RestorationTracer
-from repro.routing.failure_view import NO_FAILURES, FailureSet
+from repro.routing.failure_view import FailureSet
 from repro.routing.link_state import ConvergenceModel
-from repro.routing.spf import ShortestPaths, dijkstra
+from repro.routing.spf import PathSearch, ShortestPaths
 
 
 @dataclass(frozen=True)
@@ -87,25 +95,148 @@ def worst_case_failure(tree: MulticastTree, member: NodeId) -> FailureSet:
     return FailureSet.links((path[0], path[1]))
 
 
-def _member_paths(
+def _member_search(
     topology: Topology,
     member: NodeId,
     failures: FailureSet,
     route_cache,
     route_obs,
-) -> ShortestPaths:
-    """Post-failure SPF state rooted at the member.
+) -> ShortestPaths | PathSearch:
+    """Post-failure shortest paths from the member, settled on demand.
 
     Routed through the failure-aware ``route_cache`` when one is supplied:
-    the worst-case sweep evaluates the same ``(member, failure)`` scenario
-    under several strategies and trees, and single-link failures off the
-    member's failure-free tree resolve by reuse proof without a kernel run.
+    the worst-case sweep asks the same ``(member, failure)`` scenario under
+    several strategies and trees, and every question resumes the one
+    search (or reads a failure-free result a reuse proof vouches for).
     """
     if route_cache is not None:
-        return route_cache.shortest_paths(
+        return route_cache.search(
             topology, member, weight="delay", failures=failures, obs=route_obs
         )
-    return dijkstra(topology, member, weight="delay", failures=failures)
+    return PathSearch(topology, member, weight="delay", failures=failures)
+
+
+def _local_detour(tree, surviving, paths) -> list[NodeId] | None:
+    """The member's path to its nearest surviving on-tree node — minimum
+    ``(distance, id)`` — cut at its first contact with the surviving tree;
+    ``None`` when no surviving node is reachable."""
+    target = paths.nearest(surviving)
+    if target is None:
+        return None
+    return _truncate_at_first_contact(paths.path_to(target), surviving)
+
+
+def _global_detour(tree, surviving, paths) -> list[NodeId] | None:
+    """The member's re-converged path toward the source, cut at its first
+    surviving on-tree router; ``None`` when the source is unreachable."""
+    if not paths.reachable(tree.source):
+        return None
+    return _truncate_at_first_contact(paths.path_to(tree.source), surviving)
+
+
+class _Strategy(NamedTuple):
+    """A detour rule, why a member it cannot serve is unrecoverable (the
+    trace reason, then the error message's prefix), and its metrics."""
+
+    rule: Callable
+    reason: str
+    message: str
+    attempts: str
+    already_connected: str
+    unrecoverable: str
+    hops: str
+
+
+_STRATEGIES = {
+    "local": _Strategy(
+        _local_detour,
+        "no path to surviving tree",
+        "no non-faulty path to the surviving tree",
+        "recovery.local.attempts",
+        "recovery.local.already_connected",
+        "recovery.local.unrecoverable",
+        "recovery.local.hops",
+    ),
+    "global": _Strategy(
+        _global_detour,
+        "source unreachable after re-convergence",
+        "source unreachable after re-convergence",
+        "recovery.global.attempts",
+        "recovery.global.already_connected",
+        "recovery.global.unrecoverable",
+        "recovery.global.hops",
+    ),
+}
+
+
+def _detour_result(
+    topology: Topology,
+    tree: MulticastTree,
+    member: NodeId,
+    strategy: str,
+    detour: list[NodeId],
+) -> RecoveryResult:
+    attach = detour[-1]
+    distance = topology.path_delay(detour)
+    return RecoveryResult(
+        member=member,
+        strategy=strategy,
+        attach_node=attach,
+        restoration_path=tuple(detour),
+        recovery_distance=distance,
+        recovery_hops=len(detour) - 1,
+        new_end_to_end_delay=tree.delay_from_source(attach) + distance,
+    )
+
+
+def _detour_recovery(
+    strategy: str,
+    topology: Topology,
+    tree: MulticastTree,
+    member: NodeId,
+    failures: FailureSet,
+    obs: Observability | None,
+    route_cache,
+    route_obs,
+) -> RecoveryResult:
+    """The measurement both detour functions share; see
+    :func:`local_detour_recovery`."""
+    spec = _STRATEGIES[strategy]
+    obs = obs if obs is not None else NULL_OBS
+    tracer = obs.tracer
+    obs.counter(spec.attempts).inc()
+    route_obs = route_obs if route_obs is not None else obs
+    surviving = tree.surviving_component(failures)
+    if not surviving:
+        obs.counter(spec.unrecoverable).inc()
+        if tracer is not None:
+            _trace_unrecoverable_episode(
+                tracer, member, strategy, failures, "source failed"
+            )
+        raise UnrecoverableFailureError(member, "the source itself has failed")
+    if member in surviving:
+        obs.counter(spec.already_connected).inc()
+        result = _already_connected(tree, member, strategy)
+        if tracer is not None:
+            _trace_recovery_episode(tracer, topology, tree, result, failures)
+        return result
+
+    paths = _member_search(topology, member, failures, route_cache, route_obs)
+    detour = spec.rule(tree, surviving, paths)
+    if detour is None:
+        obs.counter(spec.unrecoverable).inc()
+        if tracer is not None:
+            _trace_unrecoverable_episode(
+                tracer, member, strategy, failures, spec.reason
+            )
+        raise UnrecoverableFailureError(
+            member, f"{spec.message} ({failures.describe()})"
+        )
+    obs.histogram(spec.hops).observe(len(detour) - 1)
+    result = _detour_result(topology, tree, member, strategy, detour)
+    if tracer is not None:
+        _trace_recovery_episode(tracer, topology, tree, result, failures)
+    return result
 
 
 def local_detour_recovery(
@@ -125,57 +256,17 @@ def local_detour_recovery(
     is truncated at the first contact (the restoration path may not cross
     the surviving tree — those links are already in service).
 
-    ``route_cache`` memoises the post-failure SPF lookup; ``route_obs``
-    attributes its cache activity (defaults to ``obs``, letting callers
-    report cache traffic without double-counting recovery attempts).
+    The member's post-failure search settles nodes only until the nearest
+    surviving node is final (:meth:`~repro.routing.spf.PathSearch.nearest`);
+    the answer equals a full post-failure SPF's.  ``route_cache`` shares
+    that search with every other question about the same scenario;
+    ``route_obs`` attributes its cache activity (defaults to ``obs``,
+    letting callers report cache traffic without double-counting recovery
+    attempts).
     """
-    obs = obs if obs is not None else NULL_OBS
-    tracer = obs.tracer
-    obs.counter("recovery.local.attempts").inc()
-    route_obs = route_obs if route_obs is not None else obs
-    surviving = tree.surviving_component(failures)
-    if not surviving:
-        obs.counter("recovery.local.unrecoverable").inc()
-        if tracer is not None:
-            _trace_unrecoverable_episode(
-                tracer, member, "local", failures, "source failed"
-            )
-        raise UnrecoverableFailureError(member, "the source itself has failed")
-    if member in surviving:
-        obs.counter("recovery.local.already_connected").inc()
-        result = _already_connected(tree, member, "local")
-        if tracer is not None:
-            _trace_recovery_episode(tracer, topology, tree, result, failures)
-        return result
-
-    paths = _member_paths(topology, member, failures, route_cache, route_obs)
-    reachable = [node for node in surviving if node in paths.dist]
-    if not reachable:
-        obs.counter("recovery.local.unrecoverable").inc()
-        if tracer is not None:
-            _trace_unrecoverable_episode(
-                tracer, member, "local", failures, "no path to surviving tree"
-            )
-        raise UnrecoverableFailureError(
-            member, f"no non-faulty path to the surviving tree ({failures.describe()})"
-        )
-    target = min(reachable, key=lambda node: (paths.dist[node], node))
-    detour = _truncate_at_first_contact(paths.path_to(target), surviving)
-    attach = detour[-1]
-    obs.histogram("recovery.local.hops").observe(len(detour) - 1)
-    result = RecoveryResult(
-        member=member,
-        strategy="local",
-        attach_node=attach,
-        restoration_path=tuple(detour),
-        recovery_distance=topology.path_delay(detour),
-        recovery_hops=len(detour) - 1,
-        new_end_to_end_delay=tree.delay_from_source(attach)
-        + topology.path_delay(detour),
+    return _detour_recovery(
+        "local", topology, tree, member, failures, obs, route_cache, route_obs
     )
-    if tracer is not None:
-        _trace_recovery_episode(tracer, topology, tree, result, failures)
-    return result
 
 
 def global_detour_recovery(
@@ -192,56 +283,13 @@ def global_detour_recovery(
     Models today's PIM-over-OSPF behaviour: after re-convergence the
     member's routing table holds a new shortest path to the source with
     the failed components withdrawn; the re-join travels that path and
-    grafts at the first surviving on-tree router it meets.
+    grafts at the first surviving on-tree router it meets.  The search
+    settles nodes only until the source settles.
     ``route_cache`` / ``route_obs`` as in :func:`local_detour_recovery`.
     """
-    obs = obs if obs is not None else NULL_OBS
-    tracer = obs.tracer
-    obs.counter("recovery.global.attempts").inc()
-    route_obs = route_obs if route_obs is not None else obs
-    surviving = tree.surviving_component(failures)
-    if not surviving:
-        obs.counter("recovery.global.unrecoverable").inc()
-        if tracer is not None:
-            _trace_unrecoverable_episode(
-                tracer, member, "global", failures, "source failed"
-            )
-        raise UnrecoverableFailureError(member, "the source itself has failed")
-    if member in surviving:
-        obs.counter("recovery.global.already_connected").inc()
-        result = _already_connected(tree, member, "global")
-        if tracer is not None:
-            _trace_recovery_episode(tracer, topology, tree, result, failures)
-        return result
-
-    paths = _member_paths(topology, member, failures, route_cache, route_obs)
-    if tree.source not in paths.dist:
-        obs.counter("recovery.global.unrecoverable").inc()
-        if tracer is not None:
-            _trace_unrecoverable_episode(
-                tracer, member, "global", failures,
-                "source unreachable after re-convergence",
-            )
-        raise UnrecoverableFailureError(
-            member, f"source unreachable after re-convergence ({failures.describe()})"
-        )
-    rejoin = paths.path_to(tree.source)
-    detour = _truncate_at_first_contact(rejoin, surviving)
-    attach = detour[-1]
-    obs.histogram("recovery.global.hops").observe(len(detour) - 1)
-    result = RecoveryResult(
-        member=member,
-        strategy="global",
-        attach_node=attach,
-        restoration_path=tuple(detour),
-        recovery_distance=topology.path_delay(detour),
-        recovery_hops=len(detour) - 1,
-        new_end_to_end_delay=tree.delay_from_source(attach)
-        + topology.path_delay(detour),
+    return _detour_recovery(
+        "global", topology, tree, member, failures, obs, route_cache, route_obs
     )
-    if tracer is not None:
-        _trace_recovery_episode(tracer, topology, tree, result, failures)
-    return result
 
 
 def estimate_restoration_latency(
@@ -274,9 +322,18 @@ def estimate_restoration_latency(
     signaling = 2.0 * signaling_delay_factor * result.recovery_distance
     if result.strategy != "global":
         return model.detection_delay + signaling
-    times = model.convergence_times(topology, failures)
-    member_ready = times.get(result.member, model.detection_delay)
-    return member_ready + signaling
+    return _converged_at(model, topology, failures, result.member) + signaling
+
+
+def _converged_at(
+    model: ConvergenceModel, topology: Topology, failures: FailureSet, member: NodeId
+) -> float:
+    """When ``member``'s unicast table has re-converged: the model's
+    convergence time, asked about this one router (its flood searches
+    settle only that far)."""
+    if failures.node_failed(member) or not topology.has_node(member):
+        return model.detection_delay  # a router the flood never reports
+    return model.convergence_time(topology, failures, member)
 
 
 # ----------------------------------------------------------------------
@@ -322,8 +379,7 @@ def _trace_recovery_episode(
         episode.add("detect", result.member, 0.0, ready,
                     payload={"detection_delay": model.detection_delay})
     else:
-        times = model.convergence_times(topology, failures)
-        ready = times.get(result.member, model.detection_delay)
+        ready = _converged_at(model, topology, failures, result.member)
         episode.add("converge", result.member, 0.0, ready,
                     payload={"detection_delay": model.detection_delay})
     episode.add("search", result.member, ready, ready, payload={
@@ -394,68 +450,6 @@ class TreeRepairReport:
         return sum(r.recovery_distance for r in self.recoveries)
 
 
-class _RepairPathsMemo:
-    """Per-repair memo of post-failure SPF state: one run per member, ever.
-
-    Within one :func:`repair_tree` call the ``(topology, member, failures)``
-    triple is invariant — only the *tree* grows as members re-attach — so
-    the member's :class:`ShortestPaths` from the first round stays valid in
-    every later round and only the truncation against the updated surviving
-    set needs redoing.  The memo presents the
-    :meth:`~repro.routing.route_cache.RouteCache.shortest_paths` interface
-    the recovery functions already consume, so it simply slots in as their
-    ``route_cache``; an actual route cache, when supplied, sits underneath
-    and serves cross-repair reuse (and its reuse proofs).
-
-    ``recovery.repair.spf_runs`` counts memo misses — at most one per
-    pending member, the O(k) bound the regression suite asserts (the old
-    loop recomputed every pending member every round: O(k²)).
-
-    The memo keys on ``root`` alone precisely *because* of that
-    one-repair invariance, so it binds itself to the
-    ``(topology state, weight, failures)`` of its first call and raises
-    on any later mismatch — misuse across failure sets or topologies
-    fails loudly instead of silently serving stale paths.
-    """
-
-    __slots__ = ("_inner", "_paths", "_runs", "_bound")
-
-    def __init__(self, inner, runs_counter) -> None:
-        self._inner = inner
-        self._paths: dict[NodeId, ShortestPaths] = {}
-        self._runs = runs_counter
-        self._bound: tuple[int, str, FailureSet] | None = None
-
-    def shortest_paths(
-        self,
-        topology: Topology,
-        root: NodeId,
-        weight: str = "delay",
-        failures: FailureSet = NO_FAILURES,
-        obs=None,
-    ) -> ShortestPaths:
-        context = (topology.cache_token(), weight, failures)
-        if self._bound is None:
-            self._bound = context
-        elif context != self._bound:
-            raise RecoveryError(
-                "_RepairPathsMemo reused across repair contexts: it memoizes "
-                "SPF state per member for ONE (topology, weight, failures) "
-                f"and was bound to {self._bound!r} but called with {context!r}"
-            )
-        paths = self._paths.get(root)
-        if paths is None:
-            self._runs.inc()
-            if self._inner is not None:
-                paths = self._inner.shortest_paths(
-                    topology, root, weight=weight, failures=failures, obs=obs
-                )
-            else:
-                paths = dijkstra(topology, root, weight=weight, failures=failures)
-            self._paths[root] = paths
-        return paths
-
-
 def repair_tree(
     topology: Topology,
     tree: MulticastTree,
@@ -475,13 +469,17 @@ def repair_tree(
     Detached pure-relay state is discarded, as its soft state would time
     out (§3.2).
 
-    Each member's post-failure SPF state is computed at most once for the
-    whole repair (``recovery.repair.spf_runs``) and re-truncated against
-    the updated surviving set each round.  ``route_cache`` (a failure-aware
-    :class:`~repro.routing.route_cache.RouteCache`) additionally shares
-    that state *across* repair calls; ``route_obs`` attributes its cache
-    traffic without touching the per-member ``recovery.*.attempts``
-    counters (the same split the measurement paths use).
+    Each pending member gets one post-failure search for the whole repair
+    (``recovery.repair.spf_runs`` counts them); every round resumes it
+    against the surviving set, which the repair extends with each graft
+    instead of re-walking the tree.  The set only grows, so a new node
+    nearer than a member's last answer has already settled: resuming
+    gives the answer a fresh full search would.  ``route_cache`` (a
+    failure-aware :class:`~repro.routing.route_cache.RouteCache`)
+    additionally shares those searches *across* repair calls;
+    ``route_obs`` attributes its cache traffic without touching the
+    per-member ``recovery.*.attempts`` counters (the same split the
+    measurement paths use).
     """
     if strategy not in ("local", "global"):
         raise RecoveryError(f"unknown repair strategy {strategy!r}")
@@ -490,38 +488,37 @@ def repair_tree(
 
     obs = obs if obs is not None else NULL_OBS
     route_obs = route_obs if route_obs is not None else obs
+    detour_fn = _STRATEGIES[strategy].rule
     with obs.span("recovery.repair_tree"):
-        repaired = _surviving_subtree(tree, failures)
+        repaired = tree.surviving_subtree(failures)
         report = TreeRepairReport(repaired_tree=repaired, strategy=strategy)
-        pending = [
-            m
-            for m in tree.disconnected_members(failures)
-            if not failures.node_failed(m)
-        ]
-        report.unrecoverable.extend(
-            m for m in tree.disconnected_members(failures) if failures.node_failed(m)
-        )
+        cut = tree.disconnected_members(failures)
+        pending = [m for m in cut if not failures.node_failed(m)]
+        report.unrecoverable.extend(m for m in cut if failures.node_failed(m))
 
-        memo = _RepairPathsMemo(
-            route_cache, obs.counter("recovery.repair.spf_runs")
-        )
+        # Every node of the repaired tree is fed by the source: the copy
+        # holds only the surviving component, and detours avoid failures.
+        surviving = set(repaired.on_tree_nodes())
+        searches: dict[NodeId, ShortestPaths | PathSearch] = {}
+        spf_runs = obs.counter("recovery.repair.spf_runs")
         while pending:
-            recovery_fn = (
-                local_detour_recovery if strategy == "local" else global_detour_recovery
-            )
             options: list[tuple[float, NodeId, RecoveryResult]] = []
             for member in pending:
-                try:
-                    result = recovery_fn(
-                        topology,
-                        repaired,
-                        member,
-                        failures,
-                        route_cache=memo,
-                        route_obs=route_obs,
+                if member in surviving:
+                    result = _already_connected(repaired, member, strategy)
+                else:
+                    paths = searches.get(member)
+                    if paths is None:
+                        spf_runs.inc()
+                        paths = searches[member] = _member_search(
+                            topology, member, failures, route_cache, route_obs
+                        )
+                    detour = detour_fn(repaired, surviving, paths)
+                    if detour is None:
+                        continue
+                    result = _detour_result(
+                        topology, repaired, member, strategy, detour
                     )
-                except UnrecoverableFailureError:
-                    continue
                 options.append((result.recovery_distance, member, result))
             if not options:
                 report.unrecoverable.extend(sorted(pending))
@@ -538,6 +535,7 @@ def repair_tree(
                 )
             graft = list(reversed(chosen.restoration_path))
             repaired.graft(graft)
+            surviving.update(graft)
             report.recoveries.append(chosen)
             report.new_links.update(
                 edge_key(u, v) for u, v in zip(graft, graft[1:])
@@ -546,37 +544,6 @@ def repair_tree(
         obs.counter("recovery.repair.members_restored").inc(len(report.recoveries))
         obs.counter("recovery.repair.unrecoverable").inc(len(report.unrecoverable))
     return report
-
-
-def surviving_subtree(tree: MulticastTree, failures: FailureSet) -> MulticastTree:
-    """Copy of ``tree`` restricted to the component still fed by the source.
-
-    Public entry point for protocol families that assemble their own
-    repairs (the alternate-path engine grafts precomputed routes onto
-    this) — identical to what :func:`repair_tree` starts from.
-    """
-    return _surviving_subtree(tree, failures)
-
-
-def _surviving_subtree(tree: MulticastTree, failures: FailureSet) -> MulticastTree:
-    """Copy of the tree restricted to the component still fed by the source."""
-    surviving = tree.surviving_component(failures)
-    rebuilt = MulticastTree(tree.topology, tree.source)
-    # Graft surviving branches in breadth-first order so parents exist first.
-    frontier = [tree.source]
-    while frontier:
-        node = frontier.pop(0)
-        for child in tree.children(node):
-            if child not in surviving:
-                continue
-            rebuilt.graft([node, child], member=False)
-            frontier.append(child)
-    for member in tree.members:
-        if member in surviving:
-            rebuilt.add_member(member)
-    # Trim surviving relays whose entire subtree was detached.
-    rebuilt.trim_dead_branches()
-    return rebuilt
 
 
 def _already_connected(

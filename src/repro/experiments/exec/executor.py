@@ -246,8 +246,8 @@ class ParallelExecutor(Executor):
     way.  Retry exhaustion or an interrupt kills every worker.
 
     Workers come from the platform's default start method (``fork`` on
-    Linux): a spawned worker would pay the package's import time — more
-    than a second, mostly scipy — before its first unit.
+    Linux): a spawned worker would pay the package's import time before
+    its first unit.
 
     ``inject_fault`` arms deterministic test faults (crash / hang /
     error) against a batch index — the hook behind the fault-injection

@@ -55,7 +55,6 @@ from repro.core.recovery import (
     _truncate_at_first_contact,
     global_detour_recovery,
     repair_tree,
-    surviving_subtree,
 )
 from repro.core.shr import link_utilisation
 from repro.errors import ConfigurationError, UnrecoverableFailureError
@@ -445,14 +444,16 @@ class AlternatePathProtocol:
                 self.source, "the source itself has failed"
             )
         tree = self.tree
-        repaired = surviving_subtree(tree, failures)
+        repaired = tree.surviving_subtree(failures)
         report = TreeRepairReport(repaired_tree=repaired, strategy="alternate")
         cut = tree.disconnected_members(failures)
         report.unrecoverable.extend(m for m in cut if failures.node_failed(m))
         pending = [m for m in cut if not failures.node_failed(m)]
         self.ensure_tables(pending, failures)
+        # The repaired tree's nodes, extended with each graft (every one
+        # is fed by the source: routes and detours avoid the failures).
+        surviving = set(repaired.on_tree_nodes())
         for member in pending:
-            surviving = set(repaired.on_tree_nodes())
             if member in surviving:
                 # An earlier graft already passed through this member.
                 repaired.add_member(member)
@@ -493,6 +494,7 @@ class AlternatePathProtocol:
                     continue
             graft = list(reversed(result.restoration_path))
             repaired.graft(graft)
+            surviving.update(graft)
             report.recoveries.append(result)
             report.new_links.update(
                 edge_key(u, v) for u, v in zip(graft, graft[1:])

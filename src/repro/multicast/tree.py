@@ -14,11 +14,13 @@ built from:
 - ``move_subtree(node, path)`` — re-hang a node (with its entire subtree)
   onto a new attachment path (tree reshaping, §3.2.3, and failure
   recovery, §4.3.1),
-- ``trim_dead_branches()`` — drop every relay left serving no member
-  (the partition copy restoration starts from),
+- ``trim_dead_branches()`` — drop every relay left serving no member,
+- ``surviving_subtree(failures)`` — the partition copy restoration
+  starts from, built in one pass,
 - queries used by the SHR metric and the evaluation metrics: on-tree
   paths, subtree member counts, link/cost/delay aggregates, and the
-  partition induced by a failure.
+  partition induced by a failure (computed once per tree shape and
+  failure set).
 
 Every mutator keeps three derived structures current as it goes:
 ``N_R``, the member count of each node's subtree (§3.2.1); the node
@@ -43,6 +45,11 @@ from typing import Mapping
 from repro.errors import MulticastError, NotOnTreeError, TopologyError
 from repro.graph.topology import Edge, NodeId, Topology, edge_key
 from repro.routing.failure_view import NO_FAILURES, FailureSet
+
+#: Failure sets whose surviving component a tree keeps per structure.  A
+#: sweep asks one per top-level branch (the §4.3.1 worst case fails the
+#: source-incident link); a restoration asks one.
+_SURVIVING_MEMO = 16
 
 
 class MulticastTree:
@@ -69,6 +76,9 @@ class MulticastTree:
         self._count: dict[NodeId, int] = {source: 0}
         self._size: dict[NodeId, int] = {source: 1}
         self._members: set[NodeId] = set()
+        # surviving_component answers for the current structure, per
+        # failure set; every structural change (_attach/_unlink) clears it.
+        self._surviving: dict[FailureSet, set[NodeId]] = {}
 
     # ------------------------------------------------------------------
     # Basic queries
@@ -323,6 +333,7 @@ class MulticastTree:
             del self._size[node]
 
     def _attach(self, parent: NodeId, child: NodeId) -> None:
+        self._surviving.clear()
         kids = self._children[parent]
         at = bisect_left(kids, child)
         self._children[parent] = kids[:at] + (child,) + kids[at:]
@@ -330,6 +341,7 @@ class MulticastTree:
 
     def _unlink(self, node: NodeId) -> NodeId:
         """Drop ``node`` from its parent's children; returns the parent."""
+        self._surviving.clear()
         parent = self._parent[node]
         assert parent is not None
         kids = self._children[parent]
@@ -369,33 +381,94 @@ class MulticastTree:
     # Failure analysis
     # ------------------------------------------------------------------
     def affected_by(self, failures: FailureSet) -> bool:
-        """True when any tree component is failed."""
-        if any(node in failures.failed_nodes for node in self._parent):
-            return True
-        return any(
-            not failures.link_usable(u, v) for u, v in self.tree_links()
-        )
+        """True when any tree component is failed.
+
+        Looks only at the failed components: a failed node is on the tree
+        when the parent map holds it, a failed link when one end is the
+        other's parent.  (A tree link with a failed endpoint is caught by
+        the node test.)
+        """
+        parent = self._parent
+        for node in failures.failed_nodes:
+            if node in parent:
+                return True
+        for u, v in failures.failed_links:
+            if (u in parent and parent[u] == v) or (v in parent and parent[v] == u):
+                return True
+        return False
 
     def surviving_component(self, failures: FailureSet = NO_FAILURES) -> set[NodeId]:
         """On-tree nodes still connected to the source after ``failures``.
 
         Walks the tree from the source, stopping at failed links/nodes.
         The source itself is excluded if it failed (session unrecoverable).
+        Computed once per (tree structure, failure set): the answer is
+        kept until the tree next changes shape, so callers must treat the
+        returned set as read-only.
         """
-        if failures.node_failed(self.source):
-            return set()
-        component = {self.source}
-        stack = [self.source]
-        while stack:
-            node = stack.pop()
-            for child in self._children[node]:
-                if failures.node_failed(child):
-                    continue
-                if not failures.link_usable(node, child):
-                    continue
-                component.add(child)
-                stack.append(child)
+        memo = self._surviving
+        component = memo.get(failures)
+        if component is not None:
+            return component
+        component = set()
+        if not failures.node_failed(self.source):
+            component.add(self.source)
+            stack = [self.source]
+            while stack:
+                node = stack.pop()
+                for child in self._children[node]:
+                    if failures.node_failed(child):
+                        continue
+                    if not failures.link_usable(node, child):
+                        continue
+                    component.add(child)
+                    stack.append(child)
+        if len(memo) >= _SURVIVING_MEMO:
+            memo.clear()
+        memo[failures] = component
         return component
+
+    def surviving_subtree(self, failures: FailureSet = NO_FAILURES) -> "MulticastTree":
+        """Copy of the tree restricted to the component still fed by the
+        source, with the relays left serving no member trimmed — the
+        partition copy restoration starts from.
+
+        One breadth-first pass over the surviving component copies its
+        links (children in sorted order, so the copy's structures are
+        laid out exactly as grafting those links one at a time would lay
+        them out), one pass in reverse recounts ``N_R`` and subtree sizes,
+        and :meth:`trim_dead_branches` drops the dead relays.
+        """
+        surviving = self.surviving_component(failures)
+        clone = MulticastTree(self.topology, self.source)
+        if not surviving:
+            return clone
+        parent = clone._parent
+        children = clone._children
+        order = [self.source]
+        for node in order:  # grows as it goes: breadth-first
+            kept = tuple(c for c in self._children[node] if c in surviving)
+            children[node] = kept
+            for child in kept:
+                parent[child] = node
+            order.extend(kept)
+        members = clone._members
+        for member in self.members:
+            if member in surviving:
+                members.add(member)
+        count = dict.fromkeys(order, 0)
+        size = dict.fromkeys(order, 1)
+        for node in reversed(order):
+            if node in members:
+                count[node] += 1
+            up = parent[node]
+            if up is not None:
+                count[up] += count[node]
+                size[up] += size[node]
+        clone._count = count
+        clone._size = size
+        clone.trim_dead_branches()
+        return clone
 
     def disconnected_members(self, failures: FailureSet) -> list[NodeId]:
         """Members cut off from the source by ``failures``, sorted."""

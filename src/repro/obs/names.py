@@ -62,6 +62,8 @@ METRIC_NAMES: frozenset[str] = frozenset({
     "recovery.local.hops",
     "recovery.local.unrecoverable",
     "recovery.repair.members_restored",
+    # Post-failure searches a repair opened: one per pending member that
+    # needed a detour (each resumed, never re-run, across rounds).
     "recovery.repair.spf_runs",
     "recovery.repair.unrecoverable",
     "routing.batch.calls",

@@ -17,21 +17,22 @@ implements that underlay from scratch:
 - :mod:`repro.routing.batch` — a multi-root SPF sweep
   (:func:`~repro.routing.batch.dijkstra_multi`) and, through
   :meth:`RouteCache.warm_batch`, batched cache warming; neither has a
-  caller in the package (restoration looks each cut member up through
-  :meth:`RouteCache.shortest_paths`),
+  caller in the package (restoration asks each cut member's questions
+  of one resumable search, :meth:`RouteCache.search`),
 - :mod:`repro.routing.tables` — per-node routing tables,
-- :mod:`repro.routing.ksp` — Yen's k-shortest loopless paths,
 - :mod:`repro.routing.link_state` — a link-state database with flooding
   and a convergence-latency model (used to contrast local-detour recovery
   time against waiting for unicast re-convergence, §1 and [25]),
 - :mod:`repro.routing.route_cache` — memoised, failure-aware SPF state
-  for repeated seeded sweeps (with single-failure reuse proofs).
+  for repeated seeded sweeps: failure-free results, resumable
+  post-failure searches, and single-failure reuse proofs.
 """
 
 from repro.routing.csr import CsrGraph, compile_failures, csr_dijkstra
 from repro.routing.failure_view import FailureSet, NO_FAILURES
 from repro.routing.route_cache import RouteCache
 from repro.routing.spf import (
+    PathSearch,
     ShortestPaths,
     dijkstra,
     dijkstra_with_barriers,
@@ -39,7 +40,6 @@ from repro.routing.spf import (
     spf_distance,
 )
 from repro.routing.tables import RoutingTable, build_routing_table
-from repro.routing.ksp import k_shortest_paths
 from repro.routing.link_state import LinkStateDatabase, ConvergenceModel
 
 __all__ = [
@@ -49,6 +49,7 @@ __all__ = [
     "FailureSet",
     "NO_FAILURES",
     "RouteCache",
+    "PathSearch",
     "ShortestPaths",
     "dijkstra",
     "dijkstra_with_barriers",
@@ -56,7 +57,6 @@ __all__ = [
     "spf_distance",
     "RoutingTable",
     "build_routing_table",
-    "k_shortest_paths",
     "LinkStateDatabase",
     "ConvergenceModel",
 ]

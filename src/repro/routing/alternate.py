@@ -20,9 +20,10 @@ the direction PIM-style joins travel; a recovery re-joins over the
 precomputed route and grafts at the first surviving on-tree node it
 meets, exactly like a global detour minus the convergence wait.
 
-Determinism: every path here comes out of the scalar
-:func:`~repro.routing.spf.dijkstra` (smaller-predecessor-id
-tie-break), optionally through a failure-aware
+Determinism: every path here comes out of the one scalar search
+(smaller-predecessor-id tie-break): a
+:class:`~repro.routing.spf.PathSearch` that settles only until the
+target does, optionally shared through a failure-aware
 :class:`~repro.routing.route_cache.RouteCache`, so tables are
 byte-identical however they are produced.
 """
@@ -35,7 +36,7 @@ from repro.graph.topology import Edge, NodeId, Topology, edge_key
 from repro.obs import NULL_OBS, Observability
 from repro.routing.failure_view import NO_FAILURES, FailureSet
 from repro.routing.route_cache import RouteCache
-from repro.routing.spf import dijkstra
+from repro.routing.spf import PathSearch
 
 
 @dataclass(frozen=True)
@@ -123,11 +124,11 @@ class AlternateRouteTable:
             self.route_cache,
             self.obs,
         )
-        if self.target in masked.dist:
+        if masked.reachable(self.target):
             route = AlternateRoute(
                 failed_link=link,
                 path=tuple(masked.path_to(self.target)),
-                delay=masked.dist[self.target],
+                delay=masked.distance(self.target),
             )
             self.obs.counter("protection.alternate.routes").inc()
         else:
@@ -173,7 +174,7 @@ def build_alternate_table(
     """
     obs = obs if obs is not None else NULL_OBS
     baseline = _paths(topology, root, weight, NO_FAILURES, route_cache, obs)
-    if target not in baseline.dist:
+    if not baseline.reachable(target):
         return None
     obs.counter("protection.alternate.tables").inc()
     return AlternateRouteTable(
@@ -188,8 +189,10 @@ def build_alternate_table(
 
 
 def _paths(topology, root, weight, failures, route_cache, obs):
+    """Shortest paths from ``root`` under ``failures``, settled only as
+    far as the questions asked of them need."""
     if route_cache is not None:
-        return route_cache.shortest_paths(
+        return route_cache.search(
             topology, root, weight=weight, failures=failures, obs=obs
         )
-    return dijkstra(topology, root, weight=weight, failures=failures)
+    return PathSearch(topology, root, weight=weight, failures=failures)

@@ -30,6 +30,13 @@ apply the same smaller-predecessor tie-break, so their output — including
 dict *insertion order*, which downstream routing tables iterate — is
 bit-identical.  A property suite (``tests/properties/test_csr_equivalence``)
 asserts that equivalence on randomised topologies and failure sets.
+
+Both kernels run one relaxation loop, :meth:`CsrSearch.run`, to
+exhaustion.  A :class:`CsrSearch` can also stop early — when a target
+settles, or once the nearest node of a set is final — and resume later;
+restoration asks its post-failure questions that way
+(:class:`~repro.routing.spf.PathSearch`), settling only as far as each
+answer needs.
 """
 
 from __future__ import annotations
@@ -252,6 +259,161 @@ def compile_failures(
     return node_dead, arc_blocked
 
 
+class CsrSearch:
+    """One single-source shortest-path search that settles nodes on demand.
+
+    The search state — heap, settled flags, ``dist``, ``parent`` and the
+    discovery ``order`` — lives here between calls, so a search can stop
+    at the answer to one question and later *resume* for the next
+    instead of starting over.  :meth:`run` is the library's one
+    relaxation loop; :func:`csr_dijkstra` runs it to exhaustion.
+
+    Exactness: the loop never relaxes an arc into a settled node, so a
+    node's ``dist`` and ``parent`` are final once it settles, and so is
+    every node on its parent chain (a parent settles before it relaxes
+    its child).  Any answer read off settled nodes therefore equals the
+    exhaustive search's answer bit for bit, however often the search was
+    paused.  Heap keys pop in nondecreasing order (weights are
+    non-negative), and an unsettled node's final ``dist`` is at least the
+    current heap minimum: its last improving push is still queued.
+    """
+
+    __slots__ = ("source", "dist", "parent", "order", "settled", "_heap", "_graph")
+
+    def __init__(
+        self,
+        csr: CsrGraph,
+        source_index: int,
+        weights: list[float],
+        mask: tuple[bytearray, bytearray] | None,
+        barriers: bytearray | None = None,
+        lower: list[float] | None = None,
+        limit: float = INF,
+    ) -> None:
+        n = csr.num_nodes
+        self.source = source_index
+        self.dist = [INF] * n
+        self.parent = [NO_PARENT] * n
+        self.order: list[int] = []
+        self.settled = bytearray(n)
+        self._heap: list[tuple[float, int, int]] = []
+        if n and source_index != NO_PARENT:  # NO_PARENT: nothing to search from
+            self.dist[source_index] = 0.0
+            self.order.append(source_index)
+            self._heap.append((0.0, NO_PARENT, source_index))
+        node_dead, arc_blocked = (None, None) if mask is None else mask
+        self._graph = (
+            csr.indptr,
+            csr.nbr,
+            weights,
+            node_dead,
+            arc_blocked,
+            barriers,
+            lower,
+            limit,
+        )
+
+    def run(self, target: int = NO_PARENT, flags=None, best: int = NO_PARENT) -> int:
+        """Settle nodes until the question asked is answered.
+
+        Stops when ``target`` settles, or when the heap empties.  With
+        ``flags`` (a container of node indices) it keeps the minimum
+        ``(dist, index)`` over the flagged nodes that settle — starting
+        from ``best``, a flagged node already settled — and stops once the
+        next heap key exceeds that minimum's ``dist``: no unsettled node
+        can then tie or beat it, so the minimum equals the exhaustive
+        search's.  Returns that minimum (:data:`NO_PARENT` when no flagged
+        node is reachable, or without ``flags``).
+
+        ``barriers`` (set at construction, a per-node bitset) marks nodes
+        that may be settled but never traversed; the source itself is
+        always traversable, matching
+        :func:`repro.routing.spf.dijkstra_with_barriers`.  ``lower`` and
+        ``limit`` make the search goal-directed, as in
+        :func:`csr_dijkstra`.
+
+        Ties between equal-length paths keep the smaller predecessor
+        *index*, which equals the smaller predecessor *id* because indices
+        are assigned in sorted-id order.
+        """
+        heap = self._heap
+        dist = self.dist
+        parent = self.parent
+        order = self.order
+        settled = self.settled
+        indptr, nbr, weights, node_dead, arc_blocked, barriers, lower, limit = (
+            self._graph
+        )
+        source = self.source
+        push = heapq.heappush
+        pop = heapq.heappop
+        while heap:
+            if best != NO_PARENT and heap[0][0] > dist[best]:
+                break  # nothing unsettled can tie or beat the answer
+            dist_u, _, u = pop(heap)
+            if settled[u]:
+                continue
+            settled[u] = 1
+            if barriers is None or not barriers[u] or u == source:
+                for arc in range(indptr[u], indptr[u + 1]):
+                    v = nbr[arc]
+                    if settled[v]:
+                        continue
+                    if arc_blocked is not None and (arc_blocked[arc] or node_dead[v]):
+                        continue
+                    candidate = dist_u + weights[arc]
+                    best_v = dist[v]
+                    if candidate < best_v - 1e-12:
+                        if lower is not None and candidate + lower[v] > limit:
+                            continue  # cannot lie on a path within the limit
+                        if best_v == INF:
+                            order.append(v)
+                        dist[v] = candidate
+                        parent[v] = u
+                        push(heap, (candidate, u, v))
+                    elif abs(candidate - best_v) <= 1e-12:
+                        # Tie: prefer the smaller predecessor for determinism.
+                        # The source keeps NO_PARENT (never replaced).
+                        current = parent[v]
+                        if current != NO_PARENT and u < current:
+                            parent[v] = u
+                            push(heap, (candidate, u, v))
+            if u == target:
+                break
+            if flags is not None and u in flags and (
+                best == NO_PARENT
+                or dist[u] < dist[best]
+                or (dist[u] == dist[best] and u < best)
+            ):
+                best = u
+        return best
+
+    def settle(self, target: int) -> bool:
+        """Settle up to ``target``; True when it is reachable."""
+        if not self.settled[target]:
+            self.run(target=target)
+        return bool(self.settled[target])
+
+    def nearest(self, flags) -> int:
+        """The flagged node of minimum ``(dist, index)``, settling only as
+        far as that answer needs; :data:`NO_PARENT` if none is reachable.
+
+        Flagged nodes settled by earlier questions count: the answer is
+        the same whatever was asked before.
+        """
+        dist = self.dist
+        settled = self.settled
+        best = NO_PARENT
+        for i in flags:
+            if settled[i] and (
+                best == NO_PARENT
+                or dist[i] < dist[best]
+                or (dist[i] == dist[best] and i < best)
+            ):
+                best = i
+        return self.run(flags=flags, best=best)
+
+
 def csr_dijkstra(
     csr: CsrGraph,
     source_index: int,
@@ -268,12 +430,11 @@ def csr_dijkstra(
     and ``order`` lists node indices in first-discovery order — the dict
     insertion order the reference implementation produces, which callers
     use to rebuild :class:`~repro.routing.spf.ShortestPaths` mappings
-    bit-identically.
+    bit-identically.  A :class:`CsrSearch` run to exhaustion.
 
     ``barriers`` (optional per-node bitset) marks nodes that may be
     settled but never traversed; the ``source_index`` itself is always
-    traversable, matching
-    :func:`repro.routing.spf.dijkstra_with_barriers`.
+    traversable.
 
     ``lower`` (optional per-node array) and ``limit`` make the search
     goal-directed: an improving relaxation ``u → v`` is dropped before its
@@ -286,62 +447,10 @@ def csr_dijkstra(
     tie-breaks included (the pop order of those nodes is unchanged).
     Other nodes may be missing or over-priced, and ``order`` lists only
     what the bounded search discovered.
-
-    Ties between equal-length paths keep the smaller predecessor *index*,
-    which equals the smaller predecessor *id* because indices are assigned
-    in sorted-id order.
     """
-    n = csr.num_nodes
-    dist = [INF] * n
-    parent = [NO_PARENT] * n
-    order: list[int] = []
-    if n == 0:
-        return dist, parent, order
-
-    indptr = csr.indptr
-    nbr = csr.nbr
-    if mask is None:
-        node_dead = arc_blocked = None
-    else:
-        node_dead, arc_blocked = mask
-
-    dist[source_index] = 0.0
-    order.append(source_index)
-    heap: list[tuple[float, int, int]] = [(0.0, NO_PARENT, source_index)]
-    settled = bytearray(n)
-    push = heapq.heappush
-    pop = heapq.heappop
-    while heap:
-        dist_u, _, u = pop(heap)
-        if settled[u]:
-            continue
-        settled[u] = 1
-        if barriers is not None and barriers[u] and u != source_index:
-            continue  # reachable, but not traversable
-        for arc in range(indptr[u], indptr[u + 1]):
-            v = nbr[arc]
-            if settled[v]:
-                continue
-            if arc_blocked is not None and (arc_blocked[arc] or node_dead[v]):
-                continue
-            candidate = dist_u + weights[arc]
-            best = dist[v]
-            if candidate < best - 1e-12:
-                if lower is not None and candidate + lower[v] > limit:
-                    continue  # cannot lie on a path within the limit
-                if best == INF:
-                    order.append(v)
-                dist[v] = candidate
-                parent[v] = u
-                push(heap, (candidate, u, v))
-            elif abs(candidate - best) <= 1e-12:
-                # Tie: prefer the smaller predecessor for determinism.
-                # The source keeps NO_PARENT (never replaced).
-                current = parent[v]
-                if current != NO_PARENT and u < current:
-                    parent[v] = u
-                    push(heap, (candidate, u, v))
-    return dist, parent, order
+    search = CsrSearch(csr, source_index, weights, mask, barriers, lower, limit)
+    search.run()
+    return search.dist, search.parent, search.order
 
 
 def csr_dijkstra_barriers(
@@ -363,6 +472,4 @@ def csr_dijkstra_barriers(
     flags = bytearray(csr.num_nodes)
     for i in barrier_indices:
         flags[i] = 1
-    return csr_dijkstra(
-        csr, source_index, weights, mask, barriers=flags, lower=lower, limit=limit
-    )
+    return csr_dijkstra(csr, source_index, weights, mask, flags, lower, limit)

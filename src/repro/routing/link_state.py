@@ -29,7 +29,7 @@ from typing import ClassVar
 from repro.errors import ConfigurationError, TopologyError
 from repro.graph.topology import Edge, NodeId, Topology, edge_key
 from repro.routing.failure_view import NO_FAILURES, FailureSet
-from repro.routing.spf import dijkstra
+from repro.routing.spf import PathSearch
 from repro.routing.tables import RoutingTable, build_routing_table
 
 
@@ -104,9 +104,10 @@ class ConvergenceModel:
     per_hop_processing: float = 0.5
     spf_compute_time: float = 1.0
 
-    #: The last :meth:`convergence_times` answer, as
-    #: ``((model, topology cache token, failures), times)``.
-    _last_answer: ClassVar[tuple[tuple, dict[NodeId, float]] | None] = None
+    #: The flood of the last ``(model, topology state, failures)`` asked
+    #: about: every member of every group restored after one failure asks
+    #: about that same flood.
+    _last_flood: ClassVar["_Flood | None"] = None
 
     def __post_init__(self) -> None:
         for name in (
@@ -117,6 +118,14 @@ class ConvergenceModel:
         ):
             if getattr(self, name) < 0:
                 raise ConfigurationError(f"{name} must be non-negative")
+
+    def _flood(self, topology: Topology, failures: FailureSet) -> "_Flood":
+        key = (self, topology.cache_token(), failures)
+        flood = ConvergenceModel._last_flood
+        if flood is None or flood.key != key:
+            flood = _Flood(key, self, topology, failures)
+            ConvergenceModel._last_flood = flood
+        return flood
 
     def convergence_times(
         self, topology: Topology, failures: FailureSet
@@ -131,61 +140,25 @@ class ConvergenceModel:
         delay only (their tables never change, so they are trivially
         "converged").
 
-        Every member of every group restored after one failure asks the
-        same question, so the last answer is kept, keyed on the model,
-        the topology state and the failures.  Callers treat the returned
-        dict as read-only.
+        Every router at once: each origin's flood search runs to
+        exhaustion.  The answer is kept with the flood (see
+        :meth:`convergence_time`); callers treat the dict as read-only.
         """
-        key = (self, topology.cache_token(), failures)
-        last = ConvergenceModel._last_answer
-        if last is not None and last[0] == key:
-            return last[1]
-        times = self._flood_times(topology, failures)
-        ConvergenceModel._last_answer = (key, times)
-        return times
-
-    def _flood_times(
-        self, topology: Topology, failures: FailureSet
-    ) -> dict[NodeId, float]:
-        origins = self._advertising_routers(topology, failures)
-        times: dict[NodeId, float] = {}
-        survivors = [
-            node for node in topology.nodes() if not failures.node_failed(node)
-        ]
-        if not origins:
-            return {node: 0.0 for node in survivors}
-
-        # Flood from each origin over the surviving graph; a router is
-        # converged once it has heard from *every* origin it can reach
-        # (distinct failed components are advertised independently).
-        arrival: dict[NodeId, float] = {}
-        for origin in origins:
-            paths = dijkstra(topology, origin, weight="delay", failures=failures)
-            for node in survivors:
-                if node not in paths.dist:
-                    continue
-                hops = len(paths.path_to(node)) - 1
-                lsa_time = (
-                    self.detection_delay
-                    + self.flooding_delay_factor * paths.dist[node]
-                    + self.per_hop_processing * hops
-                )
-                arrival[node] = max(arrival.get(node, 0.0), lsa_time)
-        for node in survivors:
-            if node in arrival:
-                times[node] = arrival[node] + self.spf_compute_time
-            else:
-                times[node] = self.detection_delay
-        return times
+        return self._flood(topology, failures).all_times()
 
     def convergence_time(
         self, topology: Topology, failures: FailureSet, node: NodeId
     ) -> float:
-        """Convergence time at one router."""
-        times = self.convergence_times(topology, failures)
-        if node not in times:
-            raise TopologyError(f"node {node} is failed or not in the topology")
-        return times[node]
+        """Convergence time at one router, as :meth:`convergence_times`
+        reports it.
+
+        The model keeps one flood search per LSA origin for the current
+        ``(model, topology state, failures)`` and resumes each only until
+        ``node`` settles; its hop count is the length of the settled
+        parent chain.  Another model, topology state or failure set starts
+        a new flood.
+        """
+        return self._flood(topology, failures).time_at(node)
 
     def _advertising_routers(
         self, topology: Topology, failures: FailureSet
@@ -203,6 +176,66 @@ class ConvergenceModel:
                 if not failures.node_failed(neighbor):
                     origins.add(neighbor)
         return origins
+
+
+class _Flood:
+    """One failure's LSA flood, settled as far as the routers asked about."""
+
+    __slots__ = ("key", "model", "topology", "failures", "searches", "times", "_all")
+
+    def __init__(
+        self, key: tuple, model: ConvergenceModel, topology: Topology, failures: FailureSet
+    ) -> None:
+        self.key = key
+        self.model = model
+        self.topology = topology
+        self.failures = failures
+        self.searches = [
+            PathSearch(topology, origin, weight="delay", failures=failures)
+            for origin in sorted(model._advertising_routers(topology, failures))
+        ]
+        self.times: dict[NodeId, float] = {}
+        self._all: dict[NodeId, float] | None = None
+
+    def time_at(self, node: NodeId) -> float:
+        time = self.times.get(node)
+        if time is not None:
+            return time
+        if not self.topology.has_node(node) or self.failures.node_failed(node):
+            raise TopologyError(f"node {node} is failed or not in the topology")
+        model = self.model
+        if not self.searches:
+            time = 0.0  # nothing failed next to a surviving router
+        else:
+            # A router is converged once it has heard from *every* origin
+            # it can reach (distinct failed components are advertised
+            # independently).
+            arrival = 0.0
+            heard = False
+            for paths in self.searches:
+                if not paths.reachable(node):
+                    continue
+                heard = True
+                hops = len(paths.path_to(node)) - 1
+                lsa_time = (
+                    model.detection_delay
+                    + model.flooding_delay_factor * paths.distance(node)
+                    + model.per_hop_processing * hops
+                )
+                arrival = max(arrival, lsa_time)
+            time = arrival + model.spf_compute_time if heard else model.detection_delay
+        self.times[node] = time
+        return time
+
+    def all_times(self) -> dict[NodeId, float]:
+        if self._all is None:
+            failures = self.failures
+            self._all = {
+                node: self.time_at(node)
+                for node in self.topology.nodes()
+                if not failures.node_failed(node)
+            }
+        return self._all
 
 
 @dataclass

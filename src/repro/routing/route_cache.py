@@ -9,21 +9,42 @@ for the same ``(topology, member, failure)`` triples across the sweep's
 parameter grid.  A :class:`RouteCache` keys entries on
 ``(topology state, root, weight, canonical failure key)`` so *all* of
 those repeats — failure-free and failure-scenario alike — collapse into
-one Dijkstra run each.
+one search each.
+
+A failure-free entry is a full :class:`~repro.routing.spf.ShortestPaths`.
+A failure-scenario entry is a resumable
+:class:`~repro.routing.spf.PathSearch`: restoration asks it one question
+at a time — the nearest surviving on-tree node (local detour), the path
+to the source (global detour), the path to a target (alternate route) —
+and each question settles nodes only until its answer is final, resuming
+where the previous question stopped.  The sweep's four strategy/tree
+measurements of one ``(member, failure)`` thus share one search, and a
+search that only needed a few hops never pays for the rest of the graph.
+Retention is the LRU's: the same ``max_entries`` bound counts searches
+and full results alike, and a paused search holds three ``n``-sized
+arrays plus the heap of what it discovered — no more than the full
+result it replaces (:meth:`RouteCache.shortest_paths` swaps a search for
+its completed result when a caller asks for everything).
 
 For single-element failures the cache goes further than memoisation.
 Bhosle & Gonzalez (arXiv:0810.3438) observe that removing an edge that an
 SPF tree does not use cannot change that tree; with this library's
-deterministic tie-break the result is *bit-identical*, parents included:
-the final parent of every node is the minimum id over its equal-distance
+deterministic tie-break ``dist`` and ``parent`` are *bitwise equal*: the
+final parent of every node is the minimum id over its equal-distance
 predecessors, and deleting an edge that lost (or never entered) every such
 comparison removes no winner.  Likewise a failed node that the baseline
 already could not reach removes only arcs incident to it, none of which
-appear in any relaxation.  So when a single-link failure misses the cached
+appear in any relaxation.  So when a single-link failure misses a cached
 failure-free tree, or a single-node failure hits an unreachable node, the
-cache returns the failure-free result outright — a **reuse proof**,
+cache answers from the failure-free result outright — a **reuse proof**,
 counted separately (``cache.routes.reuse_proofs``, a sub-count of misses:
-the scenario key itself was absent) — instead of running the kernel.
+the scenario key itself was absent) — instead of opening a search.  Only
+the dict *insertion order* can differ from a fresh failure-masked search
+(discovery order follows relaxations, and a removed arc changes which
+relaxation first reaches a node).  No consumer reads it: restoration asks
+only distance, path and nearest-node questions, and the routing tables
+that iterate a result in order are built by :func:`~repro.routing.spf.dijkstra`
+directly, never through this cache.
 
 Topology state is identified by :meth:`~repro.graph.topology.Topology.cache_token`,
 which advances on every mutation — a stale entry can never be returned,
@@ -39,7 +60,7 @@ from __future__ import annotations
 from repro.graph.cache import LruCache
 from repro.graph.topology import Edge, NodeId, Topology
 from repro.routing.failure_view import NO_FAILURES, FailureSet
-from repro.routing.spf import ShortestPaths, dijkstra
+from repro.routing.spf import PathSearch, ShortestPaths, dijkstra
 
 #: Default bound on retained SPF results: a 100-scenario sweep point needs
 #: about ``members × topologies`` entries, well within this.
@@ -89,10 +110,11 @@ def _provably_unaffected(baseline: ShortestPaths, failures: FailureSet) -> bool:
 
 
 class RouteCache:
-    """Bounded, failure-aware cache of :class:`ShortestPaths` results.
+    """Bounded, failure-aware cache of shortest-path answers: full
+    :class:`ShortestPaths` results and resumable post-failure searches.
 
-    Cached results are shared objects; callers must treat them as
-    read-only (``distance`` / ``path_to`` / ``next_hop`` do).
+    Cached answers are shared objects; callers only ask them questions
+    (``reachable`` / ``distance`` / ``path_to`` / ``nearest``).
 
     Examples
     --------
@@ -106,8 +128,70 @@ class RouteCache:
     """
 
     def __init__(self, max_entries: int = DEFAULT_MAX_ROUTES) -> None:
-        self._lru: LruCache[_Key, ShortestPaths] = LruCache(max_entries)
+        self._lru: LruCache[_Key, ShortestPaths | PathSearch] = LruCache(max_entries)
         self._reuse_proofs = 0
+
+    def search(
+        self,
+        topology: Topology,
+        root: NodeId,
+        weight: str = "delay",
+        failures: FailureSet = NO_FAILURES,
+        obs=None,
+    ) -> ShortestPaths | PathSearch:
+        """The answer to questions about ``root``'s shortest paths under
+        ``failures``, kept once per ``(topology state, root, weight,
+        failure scenario)``.
+
+        A failure-free entry is a full :class:`ShortestPaths`.  A failure
+        scenario is a :class:`PathSearch` that settles only as far as the
+        questions asked so far needed (every caller's question resumes the
+        same search), or — by reuse proof, when a cached failure-free
+        baseline provably cannot be affected — that baseline itself.  Both
+        answer ``reachable`` / ``distance`` / ``path_to`` / ``nearest``
+        identically.  Reuse proofs count as misses (the scenario key was
+        absent) plus ``cache.routes.reuse_proofs``.
+        """
+        lru = self._lru
+        token = topology.cache_token()
+        fkey = _failure_key(failures)
+        key = (token, root, weight, fkey)
+        answer = lru.peek(key)
+        reused = False
+        evicted = False
+        if answer is not None:
+            lru.hits += 1
+            hit = True
+        else:
+            lru.misses += 1
+            hit = False
+            if fkey is _NO_FAILURE_KEY:
+                answer = dijkstra(topology, root, weight=weight)
+            else:
+                # Consult the failure-free baseline (peek: an internal
+                # lookup, not a caller-facing hit or miss).
+                baseline = lru.peek((token, root, weight, _NO_FAILURE_KEY))
+                reused = baseline is not None and _provably_unaffected(
+                    baseline, failures
+                )
+                answer = (
+                    baseline
+                    if reused
+                    else PathSearch(topology, root, weight=weight, failures=failures)
+                )
+            if reused:
+                self._reuse_proofs += 1
+            evicted = lru.store(key, answer)
+        if obs is not None:
+            obs.counter("cache.routes.hits" if hit else "cache.routes.misses").inc()
+            if reused:
+                obs.counter("cache.routes.reuse_proofs").inc()
+            if evicted:
+                obs.counter("cache.routes.evictions").inc()
+            obs.gauge("cache.routes.size").set(len(lru))
+            lookups = lru.hits + lru.misses
+            obs.gauge("cache.routes.hit_rate").set(lru.hits / lookups)
+        return answer
 
     def shortest_paths(
         self,
@@ -120,57 +204,28 @@ class RouteCache:
         """SPF state rooted at ``root`` under ``failures``, computed at
         most once per ``(topology state, root, weight, failure scenario)``.
 
-        A first-seen single-element failure scenario may be answered from
-        the failure-free baseline without running the kernel when the
-        failed element provably cannot affect the tree (see module
-        docstring); such *reuse proofs* are counted as misses (the
-        scenario key was absent) plus ``cache.routes.reuse_proofs``.
+        The :meth:`search` entry, completed: a failure scenario's search
+        runs to exhaustion and its :class:`ShortestPaths` replaces it in
+        the cache, so later lookups return the same object.  A failure
+        lookup here first builds the root's failure-free baseline when it
+        is absent (remembered for the root's later scenarios, not counted
+        as a lookup), so a reuse proof may spare the failure-masked run;
+        :meth:`search` uses a baseline only when one is cached, since its
+        questions usually settle far fewer nodes than a baseline costs.
         """
         lru = self._lru
-        token = topology.cache_token()
-        fkey = _failure_key(failures)
-        key = (token, root, weight, fkey)
-        paths = lru.peek(key)
-        reused = False
-        if paths is not None:
-            lru.hits += 1
-            hit = True
-            evicted = False
-        else:
-            lru.misses += 1
-            hit = False
-            if fkey is not _NO_FAILURE_KEY:
-                # Consult the failure-free baseline (peek: an internal
-                # lookup, not a caller-facing hit or miss).  Compute and
-                # remember it if absent — scenario sweeps for this root
-                # will need it repeatedly.
-                base_key = (token, root, weight, _NO_FAILURE_KEY)
-                baseline = lru.peek(base_key)
-                if baseline is None:
-                    baseline = dijkstra(topology, root, weight=weight)
-                    if lru.store(base_key, baseline) and obs is not None:
-                        obs.counter("cache.routes.evictions").inc()
-                reused = _provably_unaffected(baseline, failures)
-                paths = (
-                    baseline
-                    if reused
-                    else dijkstra(topology, root, weight=weight, failures=failures)
-                )
-            else:
-                paths = dijkstra(topology, root, weight=weight)
-            if reused:
-                self._reuse_proofs += 1
-            evicted = lru.store(key, paths)
-        if obs is not None:
-            obs.counter("cache.routes.hits" if hit else "cache.routes.misses").inc()
-            if reused:
-                obs.counter("cache.routes.reuse_proofs").inc()
-            if evicted:
-                obs.counter("cache.routes.evictions").inc()
-            obs.gauge("cache.routes.size").set(len(lru))
-            lookups = lru.hits + lru.misses
-            obs.gauge("cache.routes.hit_rate").set(lru.hits / lookups)
-        return paths
+        if not failures.is_empty:
+            base_key = (topology.cache_token(), root, weight, _NO_FAILURE_KEY)
+            if lru.peek(base_key) is None:
+                baseline = dijkstra(topology, root, weight=weight)
+                if lru.store(base_key, baseline) and obs is not None:
+                    obs.counter("cache.routes.evictions").inc()
+        answer = self.search(topology, root, weight=weight, failures=failures, obs=obs)
+        if isinstance(answer, PathSearch):
+            answer = answer.complete()
+            key = (topology.cache_token(), root, weight, _failure_key(failures))
+            lru.store(key, answer)
+        return answer
 
     def warm_batch(
         self,

@@ -39,6 +39,7 @@ from repro.routing.csr import (
     INF,
     NO_PARENT,
     CsrGraph,
+    CsrSearch,
     compile_failures,
     csr_dijkstra,
     csr_dijkstra_barriers,
@@ -103,6 +104,90 @@ class ShortestPaths:
         if len(path) < 2:
             raise RoutingError(f"{node} is the source itself; no next hop")
         return path[1]
+
+    def nearest(self, nodes) -> NodeId | None:
+        """The reachable node of ``nodes`` at minimum ``(distance, id)``;
+        ``None`` when none is reachable."""
+        dist = self.dist
+        reachable = [node for node in nodes if node in dist]
+        if not reachable:
+            return None
+        return min(reachable, key=lambda node: (dist[node], node))
+
+
+class PathSearch:
+    """Shortest paths from ``source`` under one failure set, settled on demand.
+
+    Answers the questions a :class:`ShortestPaths` answers —
+    :meth:`reachable`, :meth:`distance`, :meth:`path_to`, :meth:`nearest`
+    — but runs its :class:`~repro.routing.csr.CsrSearch` only until the
+    answer is final, and resumes the same search for the next question.
+    Every answer equals the one :func:`dijkstra` under the same failures
+    gives, bit for bit (see :class:`~repro.routing.csr.CsrSearch`);
+    :meth:`complete` runs the search to exhaustion and returns that
+    :class:`ShortestPaths`, insertion order included.
+    """
+
+    __slots__ = ("source", "_csr", "_search")
+
+    def __init__(
+        self,
+        topology: Topology,
+        source: NodeId,
+        weight: str = "delay",
+        failures: FailureSet = NO_FAILURES,
+    ) -> None:
+        _check_args(topology, source, weight)
+        csr = topology.csr()
+        self.source = source
+        self._csr = csr
+        self._search = CsrSearch(
+            csr,
+            NO_PARENT if failures.node_failed(source) else csr.index_of[source],
+            csr.weight_list(weight),
+            compile_failures(csr, failures),
+        )
+
+    def reachable(self, node: NodeId) -> bool:
+        """Settles up to ``node``; True when a path reaches it."""
+        index = self._csr.index_of.get(node)
+        return index is not None and self._search.settle(index)
+
+    def distance(self, node: NodeId) -> float:
+        """Distance from the source; raises :class:`NoPathError` if unreachable."""
+        if not self.reachable(node):
+            raise NoPathError(self.source, node)
+        return self._search.dist[self._csr.index_of[node]]
+
+    def path_to(self, node: NodeId) -> list[NodeId]:
+        """The shortest path ``source → … → node`` as a node list."""
+        if not self.reachable(node):
+            raise NoPathError(self.source, node)
+        ids = self._csr.node_ids
+        parent = self._search.parent
+        path: list[NodeId] = []
+        cursor = self._csr.index_of[node]
+        while cursor != NO_PARENT:
+            path.append(ids[cursor])
+            cursor = parent[cursor]
+        path.reverse()
+        return path
+
+    def nearest(self, nodes) -> NodeId | None:
+        """The reachable node of ``nodes`` at minimum ``(distance, id)``;
+        ``None`` when none is reachable.  Settles only until no unsettled
+        node can tie or beat the answer."""
+        index_of = self._csr.index_of
+        best = self._search.nearest({index_of[node] for node in nodes})
+        return None if best == NO_PARENT else self._csr.node_ids[best]
+
+    def complete(self) -> ShortestPaths:
+        """The whole result, as :func:`dijkstra` returns it."""
+        search = self._search
+        search.run()
+        return _to_shortest_paths(
+            self.source, self._csr, search.dist, search.parent, search.order
+        )
 
 
 def _check_args(topology: Topology, source: NodeId, weight: str) -> None:

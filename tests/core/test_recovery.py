@@ -155,14 +155,15 @@ class TestRepairTree:
 
 
 class TestRepairMemoization:
-    """The O(k) SPF bound: one post-failure SPF per pending member.
+    """The O(k) search bound: one post-failure search per pending member.
 
     The old loop recomputed every pending member's SPF every round —
-    O(k²) runs for k disconnected members.  ``repair_tree`` now memoises
-    each member's post-failure SPF for the whole repair (the
+    O(k²) runs for k disconnected members.  ``repair_tree`` opens one
+    resumable search per member for the whole repair (the
     ``(topology, member, failures)`` triple is invariant while the tree
-    grows), so ``recovery.repair.spf_runs`` is bounded by k — with
-    results identical to the naive per-round recomputation.
+    grows) and resumes it each round, so ``recovery.repair.spf_runs`` is
+    bounded by k — with results identical to the naive per-round full
+    SPF recomputation kept in ``recovery_reference``.
     """
 
     def _session(self, waxman50):
@@ -185,51 +186,6 @@ class TestRepairMemoization:
         return tree, failure
 
     @staticmethod
-    def _naive_repair(topology, tree, failures, strategy="local"):
-        """The pre-memoization loop: fresh SPF for every pending member,
-        every round — the reference the memoized repair must match."""
-        from repro.core.recovery import TreeRepairReport, _surviving_subtree
-        from repro.graph.topology import edge_key
-
-        repaired = _surviving_subtree(tree, failures)
-        report = TreeRepairReport(repaired_tree=repaired, strategy=strategy)
-        pending = [
-            m
-            for m in tree.disconnected_members(failures)
-            if not failures.node_failed(m)
-        ]
-        report.unrecoverable.extend(
-            m
-            for m in tree.disconnected_members(failures)
-            if failures.node_failed(m)
-        )
-        recovery_fn = (
-            local_detour_recovery if strategy == "local" else global_detour_recovery
-        )
-        while pending:
-            options = []
-            for member in pending:
-                try:
-                    result = recovery_fn(topology, repaired, member, failures)
-                except UnrecoverableFailureError:
-                    continue
-                options.append((result.recovery_distance, member, result))
-            if not options:
-                report.unrecoverable.extend(sorted(pending))
-                break
-            if strategy == "local":
-                options.sort(key=lambda item: (item[0], item[1]))
-            _, chosen_member, chosen = options[0]
-            graft = list(reversed(chosen.restoration_path))
-            repaired.graft(graft)
-            report.recoveries.append(chosen)
-            report.new_links.update(
-                edge_key(u, v) for u, v in zip(graft, graft[1:])
-            )
-            pending.remove(chosen_member)
-        return report
-
-    @staticmethod
     def _digest(report):
         return (
             report.strategy,
@@ -244,10 +200,15 @@ class TestRepairMemoization:
     def test_report_identical_to_naive_per_round_recomputation(
         self, waxman50, strategy
     ):
+        from tests.core import recovery_reference
+
         tree, failure = self._session(waxman50)
         memoized = repair_tree(waxman50, tree, failure, strategy=strategy)
-        naive = self._naive_repair(waxman50, tree, failure, strategy=strategy)
+        naive = recovery_reference.repair(waxman50, tree, failure, strategy=strategy)
         assert self._digest(memoized) == self._digest(naive)
+        assert recovery_reference.report_digest(
+            memoized
+        ) == recovery_reference.report_digest(naive)
 
     def test_spf_runs_bounded_by_pending_members(self, waxman50):
         from repro.obs import Observability
@@ -266,9 +227,9 @@ class TestRepairMemoization:
         assert len(report.recoveries) + len(report.unrecoverable) == len(pending)
 
     def test_attempt_counters_unchanged_by_memoization(self, waxman50):
-        # The memo must not leak the caller's obs into the per-member
-        # recovery functions: recovery.*.attempts counts stay exactly as
-        # before the optimisation (zero from inside repair_tree).
+        # The repair must not leak the caller's obs into the per-member
+        # detours: recovery.*.attempts counts stay exactly as before the
+        # optimisation (zero from inside repair_tree).
         from repro.obs import Observability
 
         tree, failure = self._session(waxman50)
@@ -279,43 +240,71 @@ class TestRepairMemoization:
         assert "recovery.global.attempts" not in counters
 
     def test_external_route_cache_composes_with_the_memo(self, waxman50):
+        # A route cache under the repair: same report, one search opened
+        # per pending member either way, and a second repair under the
+        # same failure resumes the cached searches instead of opening new
+        # ones (every lookup is a hit).
         from repro.obs import Observability
         from repro.routing.route_cache import RouteCache
+        from repro.routing.spf import PathSearch
 
         tree, failure = self._session(waxman50)
-        plain = repair_tree(waxman50, tree, failure)
+        plain_obs = Observability()
+        plain = repair_tree(waxman50, tree, failure, obs=plain_obs)
+        runs = plain_obs.metrics.counters("recovery")["recovery.repair.spf_runs"]
         cache = RouteCache()
         route_obs = Observability()
         cached = repair_tree(
             waxman50, tree, failure, route_cache=cache, route_obs=route_obs
         )
         assert self._digest(plain) == self._digest(cached)
-        # A second repair with the same cache serves SPF state from it.
+        first = route_obs.metrics.counters("cache.routes")
+        assert first.get("cache.routes.misses", 0) == runs
+        assert "cache.routes.hits" not in first
+        searches = [
+            cache.search(waxman50, member, failures=failure)
+            for member in tree.disconnected_members(failure)
+        ]
+        assert all(isinstance(s, PathSearch) for s in searches)
+        # A second repair with the same cache serves every search from it.
         obs2 = Observability()
-        again = repair_tree(
-            waxman50, tree, failure, obs=obs2, route_cache=cache
-        )
+        again = repair_tree(waxman50, tree, failure, obs=obs2, route_cache=cache)
         assert self._digest(plain) == self._digest(again)
         counters = obs2.metrics.counters("recovery")
-        assert counters["recovery.repair.spf_runs"] >= 1  # memo misses...
+        assert counters["recovery.repair.spf_runs"] == runs  # one per member...
         hits = obs2.metrics.counters("cache.routes")
-        assert hits.get("cache.routes.hits", 0) >= 1  # ...served by the cache
+        assert hits.get("cache.routes.hits", 0) == runs  # ...each one resumed
+        assert "cache.routes.misses" not in hits
 
     def test_memo_rejects_reuse_across_repair_contexts(self, fig1):
-        # The memo keys on root alone because (topology, weight, failures)
-        # are invariant within one repair; reusing it across failure sets
-        # or topologies must fail loudly, not serve stale paths.
-        from repro.core.recovery import _RepairPathsMemo
-        from repro.obs import NULL_OBS
+        # Searches are keyed by the whole context — topology state, root,
+        # weight and failures — so no search is shared across failure sets
+        # or topology states, and each answers exactly as a fresh
+        # failure-masked SPF does.
+        from repro.routing.route_cache import RouteCache
+        from repro.routing.spf import dijkstra
 
-        memo = _RepairPathsMemo(None, NULL_OBS.counter("spf_runs"))
-        failure = FailureSet.links((node_id("S"), node_id("A")))
-        memo.shortest_paths(fig1, node_id("C"), failures=failure)
-        # Same context, another root: fine.
-        memo.shortest_paths(fig1, node_id("D"), failures=failure)
-        with pytest.raises(RecoveryError, match="repair context"):
-            memo.shortest_paths(fig1, node_id("C"))  # different failures
-        with pytest.raises(RecoveryError, match="repair context"):
-            memo.shortest_paths(
-                fig1, node_id("C"), weight="hops", failures=failure
-            )
+        cache = RouteCache()
+        c, d, s, a = (node_id(x) for x in "CDSA")
+        one = FailureSet.links((s, a))
+        other = FailureSet.links((a, d))
+        first = cache.search(fig1, c, failures=one)
+        assert cache.search(fig1, c, failures=one) is first
+        assert cache.search(fig1, d, failures=one) is not first
+        assert cache.search(fig1, c, failures=other) is not first
+        assert cache.search(fig1, c, weight="cost", failures=one) is not first
+        for failures in (one, other):
+            answer = cache.search(fig1, c, failures=failures)
+            fresh = dijkstra(fig1, c, failures=failures)
+            for node in fig1.nodes():
+                assert answer.reachable(node) == (node in fresh.dist)
+                if node in fresh.dist:
+                    assert answer.path_to(node) == fresh.path_to(node)
+                    assert answer.distance(node) == fresh.dist[node]
+        fig1.remove_link(c, d)
+        moved = cache.search(fig1, c, failures=one)
+        assert moved is not first
+        fresh = dijkstra(fig1, c, failures=one)
+        assert [moved.reachable(n) for n in fig1.nodes()] == [
+            n in fresh.dist for n in fig1.nodes()
+        ]

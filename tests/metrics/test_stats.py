@@ -65,3 +65,74 @@ class TestSummarize:
         s90 = summarize(data, confidence=0.90)
         s99 = summarize(data, confidence=0.99)
         assert s99.ci_half_width > s90.ci_half_width
+
+
+class TestTQuantile:
+    """The pure-Python Student-t quantile behind every confidence interval."""
+
+    # Two-sided critical values t_{0.975, df} and t_{0.995, df}, from the
+    # standard table (Abramowitz & Stegun Table 26.10), to the table's
+    # three decimals.
+    TABLE = {
+        1: (12.706, 63.657),
+        2: (4.303, 9.925),
+        3: (3.182, 5.841),
+        4: (2.776, 4.604),
+        5: (2.571, 4.032),
+        10: (2.228, 3.169),
+        20: (2.086, 2.845),
+        30: (2.042, 2.750),
+        60: (2.000, 2.660),
+        120: (1.980, 2.617),
+    }
+
+    @pytest.mark.parametrize("df", sorted(TABLE))
+    def test_matches_the_table(self, df):
+        from repro.metrics.stats import t_quantile
+
+        t975, t995 = self.TABLE[df]
+        assert round(t_quantile(0.975, df), 3) == t975
+        assert round(t_quantile(0.995, df), 3) == t995
+
+    def test_symmetric_and_median(self):
+        from repro.metrics.stats import t_quantile
+
+        assert t_quantile(0.5, 7) == 0.0
+        assert t_quantile(0.025, 7) == -t_quantile(0.975, 7)
+
+    def test_large_df_approaches_the_normal(self):
+        from statistics import NormalDist
+
+        from repro.metrics.stats import t_quantile
+
+        z = NormalDist().inv_cdf(0.975)
+        assert t_quantile(0.975, 100_000) == pytest.approx(z, rel=1e-4)
+        assert t_quantile(0.975, 2000) > t_quantile(0.975, 100_000) > z
+
+    @pytest.mark.parametrize("bad", [(0.0, 3), (1.0, 3), (0.9, 0)])
+    def test_rejects_bad_arguments(self, bad):
+        from repro.metrics.stats import t_quantile
+
+        with pytest.raises(ConfigurationError):
+            t_quantile(*bad)
+
+    def test_matches_scipy(self):
+        stats = pytest.importorskip("scipy.stats")
+        from repro.metrics.stats import t_quantile
+
+        worst = 0.0
+        for p in (0.9, 0.95, 0.975, 0.995):
+            for df in list(range(1, 200)) + list(range(200, 2001, 29)):
+                expected = float(stats.t.ppf(p, df))
+                worst = max(worst, abs(t_quantile(p, df) - expected) / expected)
+        assert worst < 1e-13
+
+    def test_import_does_not_load_scipy(self):
+        import subprocess
+        import sys
+
+        probe = "import sys, repro.api; print('scipy' in sys.modules)"
+        out = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True, check=True
+        )
+        assert out.stdout.strip() == "False"

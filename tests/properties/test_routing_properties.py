@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 
 from repro.graph.waxman import WaxmanConfig, waxman_topology
 from repro.routing.failure_view import FailureSet
-from repro.routing.ksp import k_shortest_paths
 from repro.routing.spf import dijkstra, dijkstra_with_barriers
 
 
@@ -65,17 +64,3 @@ class TestDijkstraProperties:
         for node in result.dist:
             path = result.path_to(node)
             assert all(p not in barriers for p in path[:-1] if p != source)
-
-
-class TestKspProperties:
-    @settings(max_examples=20, deadline=None)
-    @given(st.integers(0, 100), st.integers(1, 24), st.integers(2, 5))
-    def test_sorted_loopless_distinct(self, seed, target, k):
-        topology = make_topology(seed)
-        paths = k_shortest_paths(topology, 0, target, k=k)
-        lengths = [topology.path_delay(p) for p in paths]
-        assert lengths == sorted(lengths)
-        assert len({tuple(p) for p in paths}) == len(paths)
-        for path in paths:
-            assert len(path) == len(set(path))
-            assert path[0] == 0 and path[-1] == target

@@ -94,32 +94,46 @@ class TestConvergenceModel:
 
 
 class TestConvergenceMemo:
-    """The last ``convergence_times`` answer is reused only for the same
-    model, the same topology state and the same failures."""
+    """The flood searches of the last ``(model, topology state, failures)``
+    are resumed only for the same model, the same topology state and the
+    same failures; every answer equals a fresh whole-flood computation
+    (full SPF per origin, ``recovery_reference``)."""
 
     @pytest.fixture
     def spf_runs(self, monkeypatch):
+        """Roots of the flood searches opened."""
         runs = []
-        original = link_state.dijkstra
+        original = link_state.PathSearch
 
-        def counting(*args, **kwargs):
-            runs.append(args[1])
-            return original(*args, **kwargs)
+        def counting(topology, root, *args, **kwargs):
+            runs.append(root)
+            return original(topology, root, *args, **kwargs)
 
-        monkeypatch.setattr(link_state, "dijkstra", counting)
+        monkeypatch.setattr(link_state, "PathSearch", counting)
         return runs
+
+    @staticmethod
+    def _fresh(model, topology, failures):
+        from tests.core import recovery_reference
+
+        return recovery_reference.convergence_times(model, topology, failures)
 
     def test_memo_equals_a_fresh_computation(self, waxman50, spf_runs):
         model = ConvergenceModel()
         failure = FailureSet.links(tuple(waxman50.links()[0].key))
-        first = model.convergence_times(waxman50, failure)
+        fresh = self._fresh(model, waxman50, failure)
+        # One router at a time: each origin's search opens once and is
+        # resumed for every later router.
+        for node in sorted(fresh, reverse=True):
+            assert model.convergence_time(waxman50, failure, node) == fresh[node]
         runs = len(spf_runs)
-        assert runs > 0
-        # An equal model asking the same question hits the memo.
+        assert runs == 2  # the failed link's two endpoints
+        first = model.convergence_times(waxman50, failure)
+        assert list(first.items()) == list(fresh.items())
+        # An equal model asking the same question reuses the flood.
         again = ConvergenceModel().convergence_times(waxman50, failure)
         assert again is first
         assert len(spf_runs) == runs
-        assert first == model._flood_times(waxman50, failure)
 
     def test_other_failures_or_model_recompute(self, waxman50, spf_runs):
         model = ConvergenceModel()
@@ -130,7 +144,7 @@ class TestConvergenceMemo:
         runs = len(spf_runs)
         second = model.convergence_times(waxman50, other)
         assert len(spf_runs) > runs
-        assert second == model._flood_times(waxman50, other)
+        assert second == self._fresh(model, waxman50, other)
         slower = ConvergenceModel(detection_delay=60.0)
         runs = len(spf_runs)
         assert slower.convergence_times(waxman50, other) != second
@@ -143,10 +157,10 @@ class TestConvergenceMemo:
         before = model.convergence_times(fig1, failure)
         runs = len(spf_runs)
         fig1.remove_link(2, 4)
-        after = model.convergence_times(fig1, failure)
+        after = model.convergence_time(fig1, failure, 4)
         assert len(spf_runs) > runs
-        assert after == model._flood_times(fig1, failure)
-        assert after != before
+        assert after == self._fresh(model, fig1, failure)[4]
+        assert model.convergence_times(fig1, failure) != before
 
 
 class TestFlooding:
