@@ -12,7 +12,11 @@ Every table in ``benchmarks/golden/`` must be reproduced byte for byte:
   ``protection`` run 4 units), and resumed from that checkpoint;
 - the observe-only runs: the flash-crowd service recorded to a flight
   record, a ``--profile`` run, and ``--trace-out`` runs whose NDJSON
-  traces must match between the serial executor and the pool.
+  traces must match between the serial executor and the pool;
+- the protocol counters of a Poisson-churn service
+  (``serve_poisson60_counters.json``): every counter of its
+  ``--obs-out`` report except the route cache's, whose traffic depends
+  on what the cache is asked to keep, not on what the protocol does.
 
 Each run is a real ``python -m repro`` process, as a user would start
 it.  Run from the repository root (outside tier-1; a few minutes)::
@@ -182,3 +186,19 @@ def test_trace_is_observe_only_and_executor_independent(workdir):
     assert (out / "serial.ndjson").read_bytes() == (
         out / "pool.ndjson"
     ).read_bytes()
+
+
+def test_poisson_service_counters(workdir):
+    report = workdir("serve_poisson60-counters") / "obs.json"
+    repro("serve", "--groups", "60", "--workload", "poisson",
+          "--obs-out", str(report))
+    counters = json.loads(report.read_text())["metrics"]["counters"]
+    got = {
+        name: value
+        for name, value in counters.items()
+        if not name.startswith("cache.routes.")
+    }
+    want = json.loads(
+        (GOLDEN / "serve_poisson60_counters.json").read_text(encoding="utf-8")
+    )
+    assert got == want

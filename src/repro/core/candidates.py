@@ -20,6 +20,13 @@ Two refinements the paper leaves implicit:
   merge inside the moving node's own subtree (that would create a cycle),
   so callers can exclude node sets from both the merge-point set and the
   connecting paths.
+
+The barriers are the tree's own on-tree flags
+(:meth:`~repro.multicast.tree.MulticastTree.on_tree_flags`), which the
+tree keeps current as it mutates, so a search pays nothing per on-tree
+node before it starts.  Excluded nodes are barriers too, never merge
+points: a barrier, like a failed node, relaxes no arc, so every other
+node is priced exactly as if the excluded ones had failed.
 """
 
 from __future__ import annotations
@@ -95,9 +102,10 @@ def enumerate_candidates(
         (used by the hierarchical protocol to keep joins inside a domain,
         and by the query scheme which only learns some SHR values).
     mover:
-        When enumerating for a *reshape*, the node being moved: it is
-        itself on the tree, so it must not count as tree contact along
-        the candidate paths (they all start at it), nor be a merge point.
+        When enumerating for a *reshape*, the node being moved, which is
+        the joiner itself: it is on the tree but never a merge point (the
+        search always crosses its own start, so it is no tree contact
+        along the candidate paths either).
     obs:
         Optional :class:`~repro.obs.Observability`; accounts each batched
         enumeration (``routing.candidates.batched_searches``) and every
@@ -120,22 +128,30 @@ def enumerate_candidates(
     summed from the source per reached merge point, in the tree's
     top-down order, so the floats equal the per-node path walk.
     """
-    mask = failures
-    if excluded_nodes:
-        mask = failures.union(FailureSet(failed_nodes=frozenset(excluded_nodes)))
-    on_tree = set(tree.on_tree_nodes()) - set(excluded_nodes)
-    if mover is not None:
-        on_tree.discard(mover)
-    csr, dist, parent, order = barrier_search_arrays(
-        topology,
-        joiner,
-        barriers=on_tree,
-        weight="delay",
-        failures=mask,
-        obs=obs,
-        goal=tree.source,
-        bound=delay_bound,
-    )
+    csr = topology.csr()
+    flags = tree.on_tree_flags(csr)
+    index_of = csr.index_of
+    off_tree = [
+        index_of[node]
+        for node in excluded_nodes
+        if node in index_of and not flags[index_of[node]]
+    ]
+    if off_tree:
+        flags = bytearray(flags)  # the tree's own flags stay as they are
+        for i in off_tree:
+            flags[i] = 1
+    dist = None
+    if joiner not in excluded_nodes:  # it would reach nothing, like a failed node
+        csr, dist, parent, order = barrier_search_arrays(
+            topology,
+            joiner,
+            flags,
+            weight="delay",
+            failures=failures,
+            obs=obs,
+            goal=tree.source,
+            bound=delay_bound,
+        )
     candidates = []
     if dist is not None:
         ids = csr.node_ids
@@ -143,8 +159,14 @@ def enumerate_candidates(
         adjacency = topology.adjacency()
         tree_delays = {tree.source: 0.0}
         for i in order:
+            if not flags[i]:
+                continue
             merge = ids[i]
-            if merge not in on_tree or merge not in shr_values:
+            if (
+                merge in excluded_nodes
+                or merge == mover
+                or merge not in shr_values
+            ):
                 continue
             if allowed_merge_nodes is not None and merge not in allowed_merge_nodes:
                 continue

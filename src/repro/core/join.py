@@ -29,7 +29,7 @@ from repro.graph.topology import NodeId, Topology
 from repro.multicast.tree import MulticastTree
 from repro.core.candidates import Candidate, enumerate_candidates
 from repro.routing.failure_view import NO_FAILURES, FailureSet
-from repro.routing.spf import ShortestPaths, dijkstra
+from repro.routing.spf import dijkstra, spf_distance
 
 
 @dataclass(frozen=True)
@@ -56,24 +56,33 @@ class PathSelection:
         return self.candidate.total_delay <= self.bound + 1e-12
 
 
-def unicast_spf(
+def unicast_delay(
     topology: Topology,
-    node: NodeId,
+    member: NodeId,
+    source: NodeId,
     failures: FailureSet = NO_FAILURES,
     route_cache=None,
     obs=None,
-) -> ShortestPaths:
-    """``node``'s delay SPF, whose distance to the source is ``D^{SPF}``.
+) -> float:
+    """``D^{SPF}_{S,NR}``, the member's unicast shortest-path delay to the
+    source; raises :class:`~repro.errors.NoPathError` when there is none.
 
-    Served by ``route_cache`` (a
+    Failure-free, :func:`~repro.routing.spf.spf_distance` answers it with
+    a search confined to the member's shortest-path corridor, and
+    nothing is cached.  Under failures it is read off the member's
+    failure-masked SPF, served by ``route_cache`` (a
     :class:`~repro.routing.route_cache.RouteCache`, which ``obs``
     accounts) when one is given, else computed.
     """
+    if failures.is_empty:
+        return spf_distance(topology, member, source)
     if route_cache is not None:
-        return route_cache.shortest_paths(
-            topology, node, weight="delay", failures=failures, obs=obs
+        spf = route_cache.shortest_paths(
+            topology, member, weight="delay", failures=failures, obs=obs
         )
-    return dijkstra(topology, node, weight="delay", failures=failures)
+    else:
+        spf = dijkstra(topology, member, weight="delay", failures=failures)
+    return spf.distance(source)
 
 
 def delay_bound(spf_delay: float, d_thresh: float) -> float:

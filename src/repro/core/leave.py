@@ -37,20 +37,14 @@ def process_leave(tree: MulticastTree, member: NodeId) -> LeaveOutcome:
     """
     if not tree.is_member(member):
         raise NotMemberError(member)
-    parent_of = {node: tree.parent(node) for node in tree.on_tree_nodes()}
+    # The released nodes are the lower end of the member's own path, so
+    # pruning stops at the node just above them (the member itself when
+    # nothing is released: an interior member keeps relaying).
+    path = tree.path_from_source(member)
     released = tree.prune(member)
-    if released:
-        last_released = released[-1]
-        stopped_at = parent_of[last_released]
-        assert stopped_at is not None
-        hops = len(released)
-    else:
-        # Interior member: it keeps relaying, the request stops immediately.
-        stopped_at = member
-        hops = 0
     return LeaveOutcome(
         member=member,
         released_nodes=tuple(released),
-        stopped_at=stopped_at,
-        hops_travelled=hops,
+        stopped_at=path[-len(released) - 1],
+        hops_travelled=len(released),
     )

@@ -25,7 +25,7 @@ from repro.graph.topology import NodeId, Topology
 from repro.multicast.tree import MulticastTree
 from repro.multicast.validation import check_tree_invariants
 from repro.obs import NULL_OBS, Observability
-from repro.core.join import PathSelection, select_join, select_path, unicast_spf
+from repro.core.join import PathSelection, select_join, select_path, unicast_delay
 from repro.core.leave import LeaveOutcome, process_leave
 from repro.core.query import enumerate_candidates_query
 from repro.core.recovery import (
@@ -134,9 +134,9 @@ class SMRPProtocol:
         self.source = source
         self.config = config or SMRPConfig()
         self.obs = obs if obs is not None else NULL_OBS
-        # Optional memoisation of member-rooted SPF state (the D_thresh
-        # bound's D^SPF(S, NR)); the cache is failure-aware, so
-        # failure-masked searches consult it too.
+        # Optional memoisation of member-rooted SPF state under failures
+        # (the D_thresh bound's D^SPF(S, NR) when a failure is active;
+        # failure-free, a corridor search answers it and stores nothing).
         self.route_cache = route_cache
         self.tree = MulticastTree(topology, source)
         self.state = StateManager(
@@ -226,10 +226,10 @@ class SMRPProtocol:
     def _spf_delay(self, member: NodeId, failures: FailureSet) -> float:
         """``D^{SPF}_{S,NR}``; raises :class:`~repro.errors.NoPathError`
         when the source is unreachable."""
-        spf = unicast_spf(
-            self.topology, member, failures, self.route_cache, self.obs
+        return unicast_delay(
+            self.topology, member, self.source, failures, self.route_cache,
+            self.obs,
         )
-        return spf.distance(self.source)
 
     def leave(self, member: NodeId) -> LeaveOutcome:
         """Process a member departure (``Leave_Req`` walk, §3.2.2)."""
@@ -281,12 +281,9 @@ class SMRPProtocol:
         # Condition I: nodes whose upstream SHR grew past the threshold
         # since their last reshape re-run path selection.
         for _ in range(MAX_RESHAPE_ROUNDS):
-            triggered = [
-                node
-                for node in sorted(self.tree.members)
-                if self.state.condition_i_delta(node)
-                >= self.config.reshape_shr_threshold
-            ]
+            triggered = self.state.condition_i_triggered(
+                self.config.reshape_shr_threshold
+            )
             if not triggered:
                 return
             moved = False
@@ -296,6 +293,9 @@ class SMRPProtocol:
                     moved = True
             if not moved:
                 return
+        # The round cap cut the cascade short and may have left members
+        # above the threshold: the next pass checks every member.
+        self.state.rescan_all()
 
     def _reshape_once(self, node: NodeId) -> ReshapeDecision | None:
         if not self.tree.is_on_tree(node) or node == self.source:

@@ -33,11 +33,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.errors import MulticastError, NotOnTreeError
+from repro.errors import MulticastError, NoPathError, NotOnTreeError
 from repro.graph.topology import NodeId, Topology
 from repro.multicast.tree import MulticastTree
 from repro.core.candidates import enumerate_candidates
-from repro.core.join import delay_bound, select_path, unicast_spf
+from repro.core.join import delay_bound, select_path, unicast_delay
 from repro.core.shr import adjusted_shr_table
 from repro.routing.failure_view import NO_FAILURES, FailureSet
 
@@ -73,7 +73,8 @@ def evaluate_reshape(
 
     ``route_cache`` (optional failure-aware
     :class:`~repro.routing.route_cache.RouteCache`) memoises the delay-
-    bound SPF; ``obs`` attributes its cache traffic.  When ``obs`` has a
+    bound SPF under failures (:func:`~repro.core.join.unicast_delay`);
+    ``obs`` attributes its cache traffic.  When ``obs`` has a
     restoration tracer with an episode open (a reshape pass running while
     a DES recovery is in flight), the evaluation is recorded inside that
     episode as an instant span.
@@ -111,8 +112,11 @@ def _evaluate_reshape(
     table = adjusted_shr_table(tree, node)
     current_adjusted = table[upstream]
 
-    spf = unicast_spf(topology, node, failures, route_cache, obs)
-    if tree.source not in spf.dist:
+    try:
+        spf_delay = unicast_delay(
+            topology, node, tree.source, failures, route_cache, obs
+        )
+    except NoPathError:
         return ReshapeDecision(
             node=node,
             performed=False,
@@ -120,7 +124,6 @@ def _evaluate_reshape(
             current_upstream=upstream,
             current_shr_adjusted=current_adjusted,
         )
-    spf_delay = spf.dist[tree.source]
     # The mover's subtree is excluded from the merge points, so the table
     # serves as the SHR view as it stands.
     candidates = enumerate_candidates(

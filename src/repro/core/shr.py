@@ -20,11 +20,12 @@ Equation (2):
 Both forms are implemented over the ``N_R`` counts the tree maintains
 (:meth:`~repro.multicast.tree.MulticastTree.subtree_member_count`), so
 neither walks the tree bottom-up: Eq. (1) sums counts along one path and
-Eq. (2) is one top-down pass.  Property tests check both, and the
-maintained counts themselves, against the whole-tree walks kept in
-``tests/core/shr_reference.py`` (this agreement is exactly the identity
-the distributed protocol relies on to maintain SHR with only neighbor
-message exchange).
+Eq. (2) is one top-down pass, over the whole tree or over the one
+top-level branch a change touched (:func:`shr_refresh`).  Property tests
+check both, and the maintained counts themselves, against the whole-tree
+walks kept in ``tests/core/shr_reference.py`` (this agreement is exactly
+the identity the distributed protocol relies on to maintain SHR with
+only neighbor message exchange).
 """
 
 from __future__ import annotations
@@ -56,18 +57,34 @@ def shr_incremental(tree: MulticastTree) -> dict[NodeId, int]:
     of the distributed protocol (each node learns ``SHR_{S,R_u}`` from its
     parent and adds its locally known ``N_R``).
     """
-    counts = tree.member_counts()
+    return shr_refresh(tree, {}, tree.source)
+
+
+def shr_refresh(
+    tree: MulticastTree, table: dict[NodeId, int], top: NodeId
+) -> dict[NodeId, int]:
+    """Equation (2) over ``top``'s subtree only, written into ``table``.
+
+    The same top-down pass as :func:`shr_incremental`, started at
+    ``top`` from its upstream's value in ``table`` (which must be
+    current).  Since ``SHR_{S,R}`` sums ``N`` along ``P_T(S, R)``, the
+    source excluded, a change to the counts of one top-level branch
+    moves SHR only inside that branch, and refreshing it there keeps the
+    whole table current.  Returns ``table``.
+    """
+    count = tree.subtree_member_count
     children = tree.children_map()
-    shr: dict[NodeId, int] = {tree.source: 0}
-    stack = [tree.source]
+    upstream = tree.parent(top)
+    table[top] = 0 if upstream is None else table[upstream] + count(top)
+    stack = [top]
     push = stack.append
     while stack:
         node = stack.pop()
-        above = shr[node]
+        above = table[node]
         for child in children[node]:
-            shr[child] = above + counts[child]
+            table[child] = above + count(child)
             push(child)
-    return shr
+    return table
 
 
 def subtree_member_counts(tree: MulticastTree) -> dict[NodeId, int]:

@@ -13,12 +13,18 @@ Each on-tree node ``R`` maintains:
 each mutation changes — the hops a ``Join_Req`` or ``Leave_Req`` update
 travels.  The :class:`StateManager` keeps the rest:
 
-- one SHR table, refreshed after a change by a single top-down Eq. (2)
-  pass over the tree's counts, the first time a query needs it;
+- one SHR table.  ``SHR_{S,R}`` sums ``N`` along ``P_T(S, R)``, the
+  source excluded, so a graft or a prune moves SHR only inside the
+  top-level branch whose counts it changed: a top-down Eq. (2) pass over
+  that branch alone (:func:`~repro.core.shr.shr_refresh`) keeps the
+  table current.  A move or a rebind re-derives the whole table;
 - one Condition-I baseline map.  It is written for the nodes a change
   created or re-parented, which start from their new upstream's SHR (the
   value the ``Join_Ack`` carries down the new branch), and for nodes that
-  ran a reshape.  A node's entry leaves with the node.
+  ran a reshape.  A node's entry leaves with the node;
+- the top-level branches whose SHR grew since the last Condition-I scan
+  (:meth:`StateManager.condition_i_triggered`): only their members can
+  have crossed the threshold since.
 
 :meth:`StateManager.state_of` assembles one node's
 :class:`SmrpNodeState` from these on demand.
@@ -54,7 +60,7 @@ from repro.errors import NotOnTreeError, ConfigurationError
 from repro.graph.topology import NodeId
 from repro.multicast.tree import MulticastTree
 from repro.obs import NULL_OBS, Observability
-from repro.core.shr import shr_incremental
+from repro.core.shr import shr_incremental, shr_refresh
 
 
 @dataclass
@@ -117,12 +123,16 @@ class StateManager:
         self._c_n_updates = obs.counter("smrp.state.n_updates")
         self._c_shr_pushes = obs.counter("smrp.state.shr_pushes")
         self._c_shr_pulls = obs.counter("smrp.state.shr_pulls")
-        # SHR of every on-tree node; None once a change made it stale.
+        # SHR of every on-tree node; None once a move or rebind made it
+        # stale.
         self._shr: dict[NodeId, int] | None = None
         # node -> (upstream when recorded, SHR^old_{S,R_u}).
         self._baseline: dict[NodeId, tuple[NodeId, int]] = {}
         # Deferred mode only: a change happened, the next query pulls.
         self._shr_dirty = False
+        # Top-level branches whose SHR may have grown since the last
+        # Condition-I scan; None: every branch.
+        self._grown: set[NodeId] | None = None
         self.rebind(tree)
 
     def rebind(self, tree: MulticastTree) -> None:
@@ -137,6 +147,7 @@ class StateManager:
         self.tree = tree
         self._shr = None
         self._shr_dirty = False
+        self._grown = None
         shr = self._table()
         baseline = self._baseline
         for node in shr:
@@ -160,13 +171,14 @@ class StateManager:
         subtree whose SHR changed (every node below any ancestor of the
         merge node).
         """
-        self._charge(graft_path[0], 1)
-        self._after_change(graft_path[-1])
+        branch = self._charge(graft_path[0], 1)
+        if branch is None and len(graft_path) > 1:
+            branch = graft_path[1]  # a new branch off the source
+        self._after_change(graft_path[-1], branch, grown=True)
 
     def notify_prune(self, pruned_from: NodeId) -> None:
         """Account for a leave whose ``Leave_Req`` stopped at ``pruned_from``."""
-        self._charge(pruned_from, 1)
-        self._after_change(None)
+        self._after_change(None, self._charge(pruned_from, 1), grown=False)
 
     def notify_move(self, mover: NodeId) -> None:
         """Account for a reshape/recovery path switch at ``mover``.
@@ -176,8 +188,11 @@ class StateManager:
         so callers invoke this after mutating the tree.
         """
         parent = self.tree.parent(mover)
-        self._charge(parent if parent is not None else mover, 2)
-        self._after_change(mover)
+        branch = self._charge(parent if parent is not None else mover, 2)
+        # The moved subtree takes its members' counts off one path and
+        # onto another: re-derive the whole table.
+        self._shr = None
+        self._after_change(mover, mover if branch is None else branch, grown=True)
 
     # ------------------------------------------------------------------
     # Queries
@@ -238,6 +253,45 @@ class StateManager:
             return 0
         return self.shr(upstream) - self._baseline[node][1]
 
+    def condition_i_triggered(self, threshold: int) -> list[NodeId]:
+        """The members whose Condition-I delta is at least ``threshold``,
+        in id order.
+
+        A delta rises only where SHR grew: in the top-level branch of a
+        graft, of a relay turned member, or of a move's new attachment (a
+        prune only lowers SHR).  So a scan checks only the members of the
+        branches grown since the previous scan.  Every other member keeps
+        the delta it had then, below the threshold once the reshapes that
+        scan triggered ran their course: each re-selecting member starts
+        again from zero, and each move marks the branch it grew.  The
+        scan checks every member after a rebind or :meth:`rescan_all`,
+        and for a threshold below 1, which a member that just re-ran
+        selection still meets.
+
+        In deferred mode the first SHR query after a change pays the
+        pull; the scan charges the one a scan of every member would have
+        asked first, for the upstream of the smallest member that has one.
+        """
+        tree = self.tree
+        grown, self._grown = self._grown, set()
+        if self._shr_dirty:
+            first = min((m for m in tree.members if m != tree.source), default=None)
+            if first is not None:
+                self.shr(tree.parent(first))
+        if grown is None or threshold < 1:
+            scope = tree.members
+        else:
+            scope = self._members_below(grown)
+        return [
+            node
+            for node in sorted(scope)
+            if self.condition_i_delta(node) >= threshold
+        ]
+
+    def rescan_all(self) -> None:
+        """Make the next :meth:`condition_i_triggered` check every member."""
+        self._grown = None
+
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
@@ -251,10 +305,13 @@ class StateManager:
         self._c_shr_pulls.inc(pulled)
         self._shr_dirty = False
 
-    def _charge(self, anchor: NodeId, passes: int) -> None:
+    def _charge(self, anchor: NodeId, passes: int) -> NodeId | None:
         """Charge ``N`` updates from ``anchor`` to the source (``passes``
         times), plus the eager mode's push into every node whose SHR
         changed: the subtree of the first node below S on that path.
+
+        Returns that first node, the top of the branch whose counts
+        changed (None when ``anchor`` is the source).
         """
         path = self.tree.path_from_source(anchor)
         depth = len(path) - 1
@@ -266,16 +323,26 @@ class StateManager:
             self._c_shr_pushes.inc(pushed)
         else:
             self._shr_dirty = True
+        return path[1] if depth else None
 
-    def _after_change(self, attached: NodeId | None) -> None:
-        """Catch up with a tree change; ``attached`` is the lowest node a
-        graft or move hung onto the tree (None for a prune).
+    def _after_change(
+        self, attached: NodeId | None, branch: NodeId | None, grown: bool
+    ) -> None:
+        """Catch up with a tree change inside the top-level ``branch``
+        (None when the change released a whole branch); ``attached`` is
+        the lowest node a graft or move hung onto the tree (None for a
+        prune), and ``grown`` says the branch's counts rose.
 
-        The walk from ``attached`` toward the source resets the baseline
-        of each node the change created or re-parented, and stops at the
-        first node whose recorded upstream still holds.
+        Eq. (2) is refreshed over ``branch`` alone.  The walk from
+        ``attached`` toward the source resets the baseline of each node
+        the change created or re-parented, and stops at the first node
+        whose recorded upstream still holds.
         """
-        self._shr = None
+        if branch is not None:
+            if self._shr is not None:
+                shr_refresh(self.tree, self._shr, branch)
+            if grown and self._grown is not None:
+                self._grown.add(branch)
         tree = self.tree
         baseline = self._baseline
         node = attached
@@ -290,10 +357,25 @@ class StateManager:
             node = upstream
         self._forget_departed()
 
+    def _members_below(self, tops) -> set[NodeId]:
+        """The members in the subtrees of the on-tree nodes of ``tops``."""
+        tree = self.tree
+        children = tree.children_map()
+        found = set()
+        stack = [top for top in tops if top in children]
+        while stack:
+            node = stack.pop()
+            if tree.is_member(node):
+                found.add(node)
+            stack.extend(children[node])
+        return found
+
     def _forget_departed(self) -> None:
-        """Drop the baselines of nodes that left the tree."""
+        """Drop the baselines and SHR entries of nodes that left the tree."""
         baseline = self._baseline
         on_tree = self.tree.children_map()
         if len(baseline) >= len(on_tree):  # the source never has one
+            table = self._shr if self._shr is not None else {}
             for node in [n for n in baseline if n not in on_tree]:
                 del baseline[node]
+                table.pop(node, None)

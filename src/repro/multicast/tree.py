@@ -29,6 +29,9 @@ change touches the counts only along the path it alters — one walk
 toward the source, the hops a ``Join_Req`` or ``Leave_Req`` travels — so
 the SHR metric (:mod:`repro.core.shr`) and the state manager's message
 accounting read counts instead of re-deriving them with a tree walk.
+Once a candidate search has asked for them (:meth:`on_tree_flags`), the
+mutators also keep one on-tree flag per node of the topology's compiled
+graph, the barrier set of every join search.
 
 All mutators validate their inputs against the topology and the current
 tree, and the structure can always be re-checked with
@@ -79,6 +82,10 @@ class MulticastTree:
         # surviving_component answers for the current structure, per
         # failure set; every structural change (_attach/_unlink) clears it.
         self._surviving: dict[FailureSet, set[NodeId]] = {}
+        # On-tree flags indexed like _flags_csr, the compiled graph they
+        # were built for; None until a search asks (on_tree_flags).
+        self._flags: bytearray | None = None
+        self._flags_csr = None
 
     # ------------------------------------------------------------------
     # Basic queries
@@ -94,6 +101,25 @@ class MulticastTree:
 
     def is_on_tree(self, node: NodeId) -> bool:
         return node in self._parent
+
+    def on_tree_flags(self, csr) -> bytearray:
+        """One byte per node of ``csr`` (the topology's compiled graph),
+        1 where the node is on the tree: the barrier set of a candidate
+        search.
+
+        Built on the first call for ``csr`` and kept current by every
+        mutator after that, so a search reads it instead of rebuilding
+        it; a call with another compiled graph (the topology changed)
+        builds it afresh.  Callers must not write to it.
+        """
+        if self._flags_csr is not csr:
+            flags = bytearray(csr.num_nodes)
+            index_of = csr.index_of
+            for node in self._parent:
+                flags[index_of[node]] = 1
+            self._flags = flags
+            self._flags_csr = csr
+        return self._flags
 
     def is_member(self, node: NodeId) -> bool:
         return node in self._members
@@ -331,6 +357,7 @@ class MulticastTree:
             del self._children[node]
             del self._count[node]
             del self._size[node]
+            self._flag(node, 0)
 
     def _attach(self, parent: NodeId, child: NodeId) -> None:
         self._surviving.clear()
@@ -338,6 +365,16 @@ class MulticastTree:
         at = bisect_left(kids, child)
         self._children[parent] = kids[:at] + (child,) + kids[at:]
         self._parent[child] = parent
+        self._flag(child, 1)
+
+    def _flag(self, node: NodeId, on_tree: int) -> None:
+        """Keep the on-tree flags, once built, current at ``node``."""
+        if self._flags is not None:
+            index = self._flags_csr.index_of.get(node)
+            if index is None:  # the topology grew since: rebuild on demand
+                self._flags = self._flags_csr = None
+            else:
+                self._flags[index] = on_tree
 
     def _unlink(self, node: NodeId) -> NodeId:
         """Drop ``node`` from its parent's children; returns the parent."""
@@ -371,6 +408,7 @@ class MulticastTree:
             del self._children[cursor]
             del self._count[cursor]
             del self._size[cursor]
+            self._flag(cursor, 0)
             removed.append(cursor)
             cursor = parent
         if removed:
@@ -479,7 +517,8 @@ class MulticastTree:
     # Misc
     # ------------------------------------------------------------------
     def copy(self) -> "MulticastTree":
-        """Independent copy sharing the same (immutable-by-convention) topology."""
+        """Independent copy sharing the same (immutable-by-convention)
+        topology; it builds its own on-tree flags when a search asks."""
         clone = MulticastTree(self.topology, self.source)
         clone._parent = dict(self._parent)
         clone._children = dict(self._children)  # the tuples are immutable

@@ -14,7 +14,9 @@ here so that the invariants are stated once:
 6. the state the tree maintains matches a fresh bottom-up walk: each
    node's children form a sorted tuple, its ``N_R`` equals its own
    membership plus its children's counts, and its subtree size equals
-   one plus its children's sizes.
+   one plus its children's sizes;
+7. the on-tree flags, once a search had the tree build them, flag
+   exactly the on-tree nodes.
 """
 
 from __future__ import annotations
@@ -101,3 +103,12 @@ def check_tree_invariants(tree: MulticastTree) -> None:
                 f"maintained subtree size of {node} is {sizes[node]}, a walk "
                 f"counts {fresh_size[node]}"
             )
+
+    flags = tree._flags  # noqa: SLF001
+    if flags is not None:
+        index_of = tree._flags_csr.index_of  # noqa: SLF001
+        fresh_flags = bytearray(len(flags))
+        for node in parent:
+            fresh_flags[index_of[node]] = 1
+        if flags != fresh_flags:
+            raise MulticastError("maintained on-tree flags differ from the on-tree set")

@@ -266,12 +266,17 @@ def barrier_search_arrays(
     """Raw kernel output of a barrier-constrained search.
 
     Returns ``(csr, dist, parent, order)`` exactly as
-    :func:`~repro.routing.csr.csr_dijkstra_barriers` produced them —
-    flat index-addressed arrays, no dict materialization.
+    :func:`~repro.routing.csr.csr_dijkstra` produced them — flat
+    index-addressed arrays, no dict materialization.
     :func:`dijkstra_with_barriers` is the dict-building wrapper around
     this call.  A failed ``source`` short-circuits to
     ``(csr, None, None, None)`` (the wrapper's empty-result semantics)
     without running the kernel.
+
+    ``barriers`` is a set of node ids, or a ready per-node bitset
+    indexed like ``topology.csr()`` (a tree's
+    :meth:`~repro.multicast.tree.MulticastTree.on_tree_flags`), which
+    the kernel reads as is.
 
     With a ``goal`` and a finite ``bound`` the search is goal-directed:
     it drops every relaxation whose length so far plus the failure-free
@@ -295,15 +300,14 @@ def barrier_search_arrays(
             raise TopologyError(f"goal {goal} is not in the topology")
         lower = csr.root_distances(index_of[goal], weight)
         limit = bound * (1.0 + BOUND_SLACK) + BOUND_SLACK
-    dist, parent, order = csr_dijkstra_barriers(
-        csr,
-        index_of[source],
-        csr.weight_list(weight),
-        compile_failures(csr, failures),
-        (index_of[b] for b in barriers if b in index_of),
-        lower=lower,
-        limit=limit,
-    )
+    args = (csr, index_of[source], csr.weight_list(weight),
+            compile_failures(csr, failures))
+    if isinstance(barriers, bytearray):
+        dist, parent, order = csr_dijkstra(*args, barriers, lower, limit)
+    else:
+        dist, parent, order = csr_dijkstra_barriers(
+            *args, (index_of[b] for b in barriers if b in index_of), lower, limit
+        )
     return csr, dist, parent, order
 
 
@@ -358,7 +362,40 @@ def spf_distance(
     weight: str = "delay",
     failures: FailureSet = NO_FAILURES,
 ) -> float:
-    """Shortest-path distance between two nodes under a failure scenario."""
+    """Shortest-path distance from ``source`` to ``target`` under a failure
+    scenario; raises :class:`NoPathError` when there is none.
+
+    The ``source``-rooted search settles only until ``target`` is final.
+    Failure-free, it also stays inside the shortest-path corridor: with
+    the failure-free distances back to ``target``
+    (:meth:`~repro.routing.csr.CsrGraph.root_distances`) as ``lower``
+    and ``lower[source]``, plus :data:`BOUND_SLACK`, as the limit, it
+    drops every relaxation that cannot lie on a shortest path.  Pruning
+    removes heap pushes but never reorders the pops of the nodes inside
+    the corridor (see :func:`~repro.routing.csr.csr_dijkstra`), so the
+    answer is bit for bit the full ``source``-rooted search's.
+    ``lower[source]`` itself is only the bound: summed from the other
+    end, it can differ from that answer in the last bit.
+    """
     if not topology.has_node(target):
         raise TopologyError(f"target {target} is not in the topology")
-    return dijkstra(topology, source, weight=weight, failures=failures).distance(target)
+    if not failures.is_empty:
+        return PathSearch(topology, source, weight, failures).distance(target)
+    _check_args(topology, source, weight)
+    csr = topology.csr()
+    index_of = csr.index_of
+    goal = index_of[target]
+    lower = csr.root_distances(goal, weight)
+    root = index_of[source]
+    if lower[root] < INF:
+        search = CsrSearch(
+            csr,
+            root,
+            csr.weight_list(weight),
+            None,
+            lower=lower,
+            limit=lower[root] * (1.0 + BOUND_SLACK) + BOUND_SLACK,
+        )
+        if search.settle(goal):
+            return search.dist[goal]
+    raise NoPathError(source, target)

@@ -36,7 +36,7 @@ from repro.core.join import select_join
 from repro.obs import NULL_OBS, Observability
 from repro.routing.failure_view import FailureSet
 from repro.routing.route_cache import RouteCache
-from repro.routing.spf import dijkstra_with_barriers
+from repro.routing.spf import dijkstra_with_barriers, spf_distance
 from repro.sim.engine import Simulator
 from repro.sim.events import PeriodicTimer, WatchdogTimer
 from repro.sim.messages import (
@@ -867,13 +867,12 @@ class SmrpSimulation(_BaseSimulation):
         tree = self.extract_tree()
         shr_values = self.shr_view()
         shr_values.setdefault(self.source, 0)
-        spf = self.route_cache.shortest_paths(self.topology, member, obs=self.obs)
         selection = select_join(
             self.topology,
             tree,
             member,
             shr_values,
-            spf.distance(self.source),
+            spf_distance(self.topology, member, self.source),
             self.d_thresh,
         )
         # start_join expects joiner-first ordering.

@@ -13,11 +13,15 @@ kept with the tests as the executable specification:
   reshaping (§3.2.3) is the per-node overlap form;
 - :class:`ReferenceState` is the Condition-I baseline rule as a full
   rebuild after every change: a node that is new, or whose upstream
-  differs from the last rebuild, starts from its upstream's SHR.
+  differs from the last rebuild, starts from its upstream's SHR;
+- :class:`FullScanState` is the state manager under the rules that
+  branch scoping replaced: every change drops the whole SHR table, and
+  Condition I checks every member.
 """
 
 from __future__ import annotations
 
+from repro.core.state import StateManager
 from repro.graph.topology import NodeId
 from repro.multicast.tree import MulticastTree
 
@@ -129,3 +133,24 @@ class ReferenceState:
         if upstream is None:
             return 0
         return self.shr[upstream] - self.baseline[node][1]
+
+
+class FullScanState(StateManager):
+    """A :class:`~repro.core.state.StateManager` that re-derives the whole
+    SHR table after every change and checks every member for Condition I.
+
+    A session run on it must build the same trees, with the same
+    protocol statistics and message counters (deferred pulls included),
+    as one run on the branch-scoped manager.
+    """
+
+    def _after_change(self, attached, branch, grown):
+        self._shr = None
+        super()._after_change(attached, branch, grown)
+
+    def condition_i_triggered(self, threshold: int) -> list[NodeId]:
+        return [
+            node
+            for node in sorted(self.tree.members)
+            if self.condition_i_delta(node) >= threshold
+        ]

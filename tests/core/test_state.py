@@ -115,6 +115,32 @@ class TestMessageAccounting:
         assert deferred.counters.total < eager.counters.total
 
 
+class TestPinnedCounters:
+    """The eager-vs-deferred overhead ablation's workload (N=100, 30
+    members joined, every other one leaving again): its message counts
+    are part of the paper's §3.3.2 comparison, so they are pinned."""
+
+    @pytest.mark.parametrize(
+        "mode, expected", [("eager", (121, 525, 0)), ("deferred", (121, 0, 154))]
+    )
+    def test_ablation_workload_counters(self, mode, expected):
+        topology = waxman_topology(
+            WaxmanConfig(n=100, alpha=0.2, beta=0.25, seed=0)
+        ).topology
+        rng = np.random.default_rng(1)
+        members = [int(m) for m in rng.choice(range(1, 100), 30, replace=False)]
+        proto = SMRPProtocol(
+            topology, 0, config=SMRPConfig(state_mode=mode, self_check=False)
+        )
+        proto.build(members)
+        for member in members[::2]:
+            proto.leave(member)
+        counters = proto.state.counters
+        assert (
+            counters.n_updates, counters.shr_pushes, counters.shr_pulls
+        ) == expected
+
+
 class TestModesAgree:
     """Eager and deferred maintenance differ only in message accounting."""
 

@@ -231,3 +231,51 @@ class TestFailureAnalysis:
         clone.prune(node_id("C"))
         assert fig1_tree.is_member(node_id("C"))
         assert not clone.is_member(node_id("C"))
+
+
+def flagged(tree: MulticastTree) -> set:
+    """The nodes the tree's on-tree flags mark."""
+    csr = tree.topology.csr()
+    flags = tree.on_tree_flags(csr)
+    return {csr.node_ids[i] for i, flag in enumerate(flags) if flag}
+
+
+class TestOnTreeFlags:
+    def test_flags_follow_every_mutation(self, fig4):
+        s, a, b, d, e, f, g = (node_id(label) for label in "SABDEFG")
+        tree = MulticastTree(fig4, s)
+        tree.graft([s, a, d, e])
+        assert flagged(tree) == {s, a, d, e}
+        tree.graft([s, b, g])
+        tree.move_subtree(d, [b, f, d])  # releases A
+        assert flagged(tree) == set(tree.on_tree_nodes()) == {s, b, d, e, f, g}
+        tree.add_member(b)
+        tree.prune(g)
+        tree.prune(e)  # releases E, D, F
+        assert flagged(tree) == {s, b}
+        tree.graft([b, f], member=False)
+        tree.trim_dead_branches()
+        assert flagged(tree) == {s, b}
+        check_tree_invariants(tree)
+
+    def test_built_once_per_compiled_graph(self, fig1_tree, fig1):
+        csr = fig1.csr()
+        flags = fig1_tree.on_tree_flags(csr)
+        assert fig1_tree.on_tree_flags(csr) is flags
+        fig1.add_link(node_id("C"), node_id("B"), delay=1.0)
+        rebuilt = fig1_tree.on_tree_flags(fig1.csr())
+        assert rebuilt is not flags
+        assert flagged(fig1_tree) == {node_id(label) for label in "SACD"}
+
+    def test_grown_topology_drops_them(self, fig1_tree, fig1):
+        fig1_tree.on_tree_flags(fig1.csr())
+        fig1.add_node(9)
+        fig1.add_link(node_id("C"), 9, delay=1.0)
+        fig1_tree.graft([node_id("C"), 9])
+        check_tree_invariants(fig1_tree)
+        assert flagged(fig1_tree) == {node_id(label) for label in "SACD"} | {9}
+
+    def test_copies_start_without_flags(self, fig1_tree, fig1):
+        fig1_tree.on_tree_flags(fig1.csr())
+        assert fig1_tree.copy()._flags is None
+        assert fig1_tree.surviving_subtree(FailureSet.links((1, 4)))._flags is None

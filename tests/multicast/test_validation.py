@@ -75,3 +75,11 @@ class TestInvariantDetection:
         tree._children[node_id("A")] = (node_id("D"), node_id("C"))
         with pytest.raises(MulticastError, match="sorted"):
             check_tree_invariants(tree)
+
+    def test_detects_stale_on_tree_flag(self, tree):
+        csr = tree.topology.csr()
+        flags = tree.on_tree_flags(csr)
+        check_tree_invariants(tree)
+        flags[csr.index_of[node_id("B")]] = 1
+        with pytest.raises(MulticastError, match="on-tree flags"):
+            check_tree_invariants(tree)

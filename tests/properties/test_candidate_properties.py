@@ -131,6 +131,17 @@ class TestCandidateOracle:
         st.none() | st.frozensets(st.integers(0, N - 1)),
         node_sets,
     )
+    # The joiner itself is excluded: it reaches nothing.
+    @example(
+        params=(3, 5, True), pick=0, failure_draw=([], []),
+        excluded=frozenset({2}), allowed=None, unknown=frozenset(),
+    )
+    # Off-tree node 25 carries the shortest connections of joiner 3: the
+    # search must route around it although the tree never flags it.
+    @example(
+        params=(1, 5, True), pick=0, failure_draw=([], []),
+        excluded=frozenset({25}), allowed=None, unknown=frozenset(),
+    )
     def test_join_matches_oracle(
         self, params, pick, failure_draw, excluded, allowed, unknown
     ):
