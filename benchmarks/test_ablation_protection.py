@@ -3,7 +3,10 @@
 The paper positions SMRP between today's reactive SPF re-join (slow, no
 standing cost) and proactive protection à la Han & Shin [22] / Medard et
 al. [16] (instant, permanent resource reservation).  This bench measures
-all three points of the spectrum under the worst-case failure model:
+all three points of the spectrum under the worst-case failure model,
+with protection modelled by the backup-tree engine
+(``BackupTreeProtocol(mode="protection")`` at the default budget: the
+complete post-failure tree installed for each of the most-loaded links):
 
 - recovery distance: protection = 0 by construction, SMRP short, SPF long;
 - standing resource cost: protection reserves far more than either tree.
@@ -14,7 +17,7 @@ import numpy as np
 from repro.graph.waxman import WaxmanConfig, waxman_topology
 from repro.core.protocol import SMRPConfig, SMRPProtocol
 from repro.metrics.recovery_metrics import worst_case_recovery
-from repro.multicast.protection import ProtectedMulticast
+from repro.multicast.backup_trees import BackupTreeProtocol
 from repro.multicast.spf_protocol import SPFMulticastProtocol
 from repro.routing.failure_view import FailureSet
 
@@ -32,11 +35,10 @@ def run(scenarios: int = 8):
         smrp.build(members)
         spf = SPFMulticastProtocol(topology, 0, self_check=False)
         spf.build(members)
-        protection = ProtectedMulticast(topology, 0).build(members)
-        pstats = protection.stats()
+        protection = BackupTreeProtocol(topology, 0, mode="protection")
+        protection.build(members)
 
-        rd_smrp, rd_spf, survived = [], [], 0
-        protected = 0
+        rd_smrp, rd_spf = [], []
         for member in members:
             m_smrp = worst_case_recovery(topology, smrp.tree, member, "local")
             m_spf = worst_case_recovery(topology, spf.tree, member, "global")
@@ -44,19 +46,28 @@ def run(scenarios: int = 8):
                 rd_smrp.append(m_smrp.recovery_distance)
             if m_spf.recovered:
                 rd_spf.append(m_spf.recovery_distance)
-            state = protection.members[member]
-            if state.is_protected:
-                protected += 1
-                first_link = state.primary[:2]
-                if state.active_path(FailureSet.links(first_link)) == state.backup:
-                    survived += 1
+
+        # Fail each protected link in turn: every member it cuts that its
+        # backup tree reaches is protected, and survives if it switches
+        # over with zero recovery distance.
+        protected = survived = 0
+        for link in protection.backups.links(protection.tree):
+            failure = FailureSet.links(link)
+            cut = protection.tree.disconnected_members(failure)
+            report = protection.plan_repair(failure)
+            protected += len(cut) - len(report.unrecoverable)
+            survived += sum(
+                r.strategy == "backup" and r.recovery_distance == 0.0
+                for r in report.recoveries
+            )
         rows.append(
             {
                 "rd_smrp": float(np.mean(rd_smrp)),
                 "rd_spf": float(np.mean(rd_spf)),
                 "cost_smrp": smrp.tree.tree_cost(),
                 "cost_spf": spf.tree.tree_cost(),
-                "cost_protection": pstats.reserved_cost,
+                "cost_protection": protection.tree.tree_cost()
+                + protection.standing_cost(),
                 "protected": protected,
                 "survived": survived,
                 "members": len(members),
@@ -76,12 +87,13 @@ def test_protection_spectrum(benchmark):
     )
     protected = sum(r["protected"] for r in rows)
     survived = sum(r["survived"] for r in rows)
-    # Protection delivers its promise: every protected member survives a
-    # primary-path failure with zero recovery distance.
+    # Protection delivers its promise: every member a protected-link
+    # failure cuts off switches over with zero recovery distance.
     assert survived == protected
     assert protected > 0
     # The spectrum ordering the paper sketches:
     # recovery speed: protection (0) < SMRP < SPF rejoin,
     assert 0.0 < mean("rd_smrp") < mean("rd_spf")
-    # standing cost: SPF tree < SMRP tree < full protection reservation.
+    # standing cost: SPF tree < SMRP tree < protection (its tree plus the
+    # links its backup trees reserve).
     assert mean("cost_spf") < mean("cost_smrp") < mean("cost_protection")

@@ -9,13 +9,15 @@ persistent failures:
 2. **SMRP** — survivable trees + local detours (small standing premium,
    short recovery),
 3. **proactive protection** — Han & Shin's dependable connections /
-   Medard's redundant trees: pre-reserved disjoint backups
-   (largest standing cost, instant switchover).
+   Medard's redundant trees: pre-installed backups (largest standing
+   cost, instant switchover).  Here it is the backup-tree engine: for
+   each of the ``F`` most-loaded tree links, the complete tree the
+   session would rebuild if that link failed is installed ahead of time.
 
 This example builds all three on the same network and group, applies the
 same worst-case failure to each member, and prints the cost/recovery
-frontier, plus the coverage limits of protection (members behind bridges
-cannot be protected at all).
+frontier, which members each protected link covers, the members no
+backup can reach (the link is a bridge for them), and one switchover.
 
 Usage: python examples/protection_vs_reaction.py [seed]
 """
@@ -26,7 +28,7 @@ import numpy as np
 
 from repro import SMRPConfig, SMRPProtocol, SPFMulticastProtocol, WaxmanConfig, waxman_topology
 from repro.metrics.recovery_metrics import worst_case_recovery
-from repro.multicast.protection import ProtectedMulticast
+from repro.multicast.backup_trees import DEFAULT_BUDGET, BackupTreeProtocol
 from repro.routing.failure_view import FailureSet
 
 
@@ -40,8 +42,10 @@ def main(seed: int = 5) -> None:
 
     spf = SPFMulticastProtocol(network, 0).build(members)
     smrp = SMRPProtocol(network, 0, config=SMRPConfig(d_thresh=0.3)).build(members)
-    protection = ProtectedMulticast(network, 0).build(members)
-    pstats = protection.stats()
+    protection = BackupTreeProtocol(network, 0, mode="protection")
+    protection.build(members)
+    working = protection.tree.tree_cost()
+    reserved = protection.standing_cost()
 
     def mean_rd(tree, strategy):
         values = []
@@ -57,33 +61,48 @@ def main(seed: int = 5) -> None:
           f"{mean_rd(spf, 'global'):>14.1f}")
     print(f"{'SMRP (survivable)':<26} {smrp.tree_cost():>14.0f} "
           f"{mean_rd(smrp, 'local'):>14.1f}")
-    print(f"{'protection (proactive)':<26} {pstats.reserved_cost:>14.0f} "
+    print(f"{'protection (proactive)':<26} {working + reserved:>14.0f} "
           f"{'0.0 (switch)':>14}")
+    print(f"\nprotection premium: the backup trees reserve "
+          f"{len(protection.standing_links())} links beyond the SPF tree, "
+          f"+{100 * reserved / working:.0f}% standing cost")
 
-    print(f"\nprotection coverage: {pstats.protected_members}/{len(members)} "
-          f"members have a disjoint backup "
-          f"({pstats.unprotected_members} sit behind bridges — no second "
-          f"path exists for them at any price)")
-    print(f"protection premium over working paths: "
-          f"{100 * pstats.protection_premium:.0f}%")
+    tree = protection.tree
+    links = protection.backups.links(tree)
+    print(f"\nprotected links (budget F = {DEFAULT_BUDGET}, most-loaded first) "
+          f"and the members each one covers:")
+    covered, unprotectable = set(), set()
+    for link in links:
+        failure = FailureSet.links(link)
+        backup = protection.backups.lookup(tree, failure)
+        cut = sorted(tree.disconnected_members(failure))
+        reached = [m for m in cut if m not in backup.unprotectable]
+        covered.update(reached)
+        unprotectable.update(backup.unprotectable)
+        print(f"  {link[0]:>3}-{link[1]:<3} {len(reached):>2} members: "
+              f"{' '.join(map(str, reached))}")
+    print(f"{len(covered)}/{len(members)} members are covered; a failure "
+          f"of any other link falls back to the global rejoin")
+    print(f"members no backup can reach (a protected link is a bridge for "
+          f"them): {' '.join(map(str, sorted(unprotectable))) or 'none'}")
 
     # Show one concrete switchover.
-    protected = [m for m in members if protection.members[m].is_protected]
-    if protected:
-        m = protected[0]
-        state = protection.members[m]
-        failure = FailureSet.links(tuple(state.primary[:2]))
-        active = state.active_path(failure)
-        print(f"\nexample switchover for member {m}:")
-        print(f"  primary: {' -> '.join(map(str, state.primary))}")
-        print(f"  failure: {failure.describe()}")
-        print(f"  active:  {' -> '.join(map(str, active))} "
-              f"(delay penalty "
-              f"{protection.switchover_delay_penalty(m):+.1f})")
+    failure = FailureSet.links(links[0])
+    report = protection.plan_repair(failure)
+    recovery = report.recoveries[0]
+    m = recovery.member
+    before = tree.path_from_source(m)
+    after = report.repaired_tree.path_from_source(m)
+    print(f"\nexample switchover for member {m}:")
+    print(f"  working: {' -> '.join(map(str, before))}")
+    print(f"  failure: {failure.describe()}")
+    print(f"  backup:  {' -> '.join(map(str, after))} "
+          f"(recovery distance {recovery.recovery_distance:.1f}, delay penalty "
+          f"{recovery.new_end_to_end_delay - network.path_delay(before):+.1f})")
 
     print("\n=> SMRP buys most of protection's recovery speed at a fraction "
-          "of its standing cost, and covers bridge members protection "
-          "cannot (they still get the nearest surviving detour)")
+          "of its standing cost, and its local detours serve a failure on "
+          "any link, not only on the few links protection pays to back up")
 
 
 if __name__ == "__main__":

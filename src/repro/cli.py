@@ -1217,8 +1217,8 @@ def _cmd_info(args: argparse.Namespace) -> int:
     print(f"repro {repro.__version__} — SMRP (Wu & Shin, DSN 2005) reproduction")
     components = [
         ("repro.graph", "Waxman / transit-stub / N-level topologies"),
-        ("repro.routing", "SPF, routing tables, disjoint pairs, LSDB"),
-        ("repro.multicast", "tree structure, SPF/TM baselines, protection"),
+        ("repro.routing", "SPF, routing tables, alternate routes, LSDB"),
+        ("repro.multicast", "tree structure, SPF/TM baselines, backup trees"),
         ("repro.core", "SMRP: SHR, join/leave, reshaping, recovery, domains"),
         ("repro.sim", "discrete-event simulator + distributed protocol"),
         ("repro.metrics", "RD/delay/cost metrics and confidence intervals"),

@@ -16,10 +16,11 @@ type of tag-less records from older stores — and ``"service_shard"`` for
 serves every work-unit kind without guessing at payload shapes.
 
 Durability model: records are appended and flushed line-by-line, so a
-crash loses at most the line being written; :meth:`load` *truncates* a
-torn trailing record back to the last complete line (and rejects
-corruption anywhere earlier, which indicates real damage rather than an
-interrupted write), so the first append after a resume starts on a fresh
+crash loses at most the line being written; :meth:`load` seals the tail
+first (:func:`~repro.obs.jsonl.seal_tail`: a torn trailing record is
+truncated, an intact one missing its newline gets it) and rejects
+corruption anywhere else, which indicates real damage rather than an
+interrupted write, so the first append after a resume starts on a fresh
 line instead of gluing onto the partial one.  Results round-trip
 exactly — JSON encodes doubles losslessly — so a resumed sweep's merged
 tables are byte-identical to an uninterrupted run's.
@@ -33,6 +34,7 @@ from pathlib import Path
 
 from repro.errors import CheckpointError
 from repro.experiments.runner import ScenarioResult
+from repro.obs.jsonl import seal_tail
 
 #: Store layout version; a mismatching store is rejected, not guessed at.
 STORE_VERSION = 1
@@ -92,40 +94,22 @@ class CheckpointStore:
     def load(self) -> int:
         """(Re)build the in-memory index from disk; returns entry count.
 
-        The last line may be torn (a run interrupted mid-append); it is
-        skipped *and the file is truncated back to the last complete
-        record*, so a later :meth:`put` appends a fresh line rather than
-        gluing onto the partial one (which would corrupt both records).
-        A malformed record anywhere *before* the final line raises
-        :class:`~repro.errors.CheckpointError` — that is corruption, not
-        an interrupted write.
+        The tail is sealed first (:func:`~repro.obs.jsonl.seal_tail`): a
+        torn last record (a run interrupted mid-append) is truncated, so
+        a later :meth:`put` appends a fresh line rather than gluing onto
+        the partial one (which would corrupt both records), and an intact
+        last record missing its newline gets it.  Any other malformed
+        record raises :class:`~repro.errors.CheckpointError` — that is
+        corruption, not an interrupted write.
         """
         self._index.clear()
         if not self.path.exists():
             return 0
-        with self.path.open("rb") as fh:
-            data = fh.read()
-        raw_lines = data.splitlines(keepends=True)
-        good_end = 0  # byte offset just past the last intact record line
-        torn = False
-        offset = 0
-        for lineno, raw in enumerate(raw_lines, start=1):
-            end = offset + len(raw)
-            last = lineno == len(raw_lines)
-            try:
-                line = raw.decode("utf-8").strip()
-            except UnicodeDecodeError as exc:
-                if last:
-                    torn = True
-                    break
-                raise CheckpointError(
-                    f"{self.path}:{lineno}: corrupt checkpoint record: {exc}"
-                ) from exc
-            if not line:
-                offset = good_end = end
+        for lineno, raw in enumerate(seal_tail(self.path).splitlines(), start=1):
+            if not raw.strip():
                 continue
             try:
-                record = json.loads(line)
+                record = json.loads(raw)
                 if record.get("store_version") != STORE_VERSION:
                     raise CheckpointError(
                         f"{self.path}: unsupported store version "
@@ -136,23 +120,11 @@ class CheckpointStore:
                 result = payload_cls.from_dict(record["result"])
             except CheckpointError:
                 raise
-            except (json.JSONDecodeError, KeyError, TypeError) as exc:
-                if last:
-                    torn = True
-                    break  # torn trailing record from an interrupted run
+            except (ValueError, KeyError, TypeError) as exc:  # ValueError: bad JSON
                 raise CheckpointError(
                     f"{self.path}:{lineno}: corrupt checkpoint record: {exc}"
                 ) from exc
             self._index[key] = result
-            offset = good_end = end
-        if torn:
-            with self.path.open("r+b") as fh:
-                fh.truncate(good_end)
-        elif data and not data.endswith(b"\n"):
-            # Intact final record whose newline never made it to disk:
-            # complete the line so the next append starts fresh.
-            with self.path.open("ab") as fh:
-                fh.write(b"\n")
         return len(self._index)
 
     def get(self, key: str):

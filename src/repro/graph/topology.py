@@ -12,8 +12,9 @@ weights:
     sum of link costs.  By default ``cost == delay`` (as in the paper's
     figures, where one number labels each link), but the two can differ.
 
-The class wraps :class:`networkx.Graph` for storage while exposing a small,
-explicit API so the rest of the library never touches raw attribute dicts.
+The class is its own store: two insertion-ordered maps ``{u: {v: weight}}``
+(one for delay, one for cost) plus the node positions, behind a small,
+explicit API so the rest of the library never touches the raw dicts.
 """
 
 from __future__ import annotations
@@ -21,8 +22,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping
-
-import networkx as nx
 
 from repro.errors import TopologyError
 
@@ -102,8 +101,11 @@ class Topology:
 
     def __init__(self, name: str = "topology") -> None:
         self.name = name
-        self._graph = nx.Graph()
-        self._adjacency_cache: dict[NodeId, dict[NodeId, float]] | None = None
+        # Insertion-ordered: a node's neighbours are listed in the order
+        # its links were added, and nodes in the order they were added.
+        self._delay: dict[NodeId, dict[NodeId, float]] = {}
+        self._cost: dict[NodeId, dict[NodeId, float]] = {}
+        self._pos: dict[NodeId, tuple[float, float] | None] = {}
         self._csr_cache = None
         self._cache_token = next(_CACHE_TOKENS)
 
@@ -112,9 +114,11 @@ class Topology:
     # ------------------------------------------------------------------
     def add_node(self, node: NodeId, pos: tuple[float, float] | None = None) -> None:
         """Add a node, optionally with a 2-D position (used by Waxman)."""
-        if node in self._graph:
+        if node in self._delay:
             raise TopologyError(f"node {node} already exists")
-        self._graph.add_node(node, pos=pos)
+        self._delay[node] = {}
+        self._cost[node] = {}
+        self._pos[node] = pos
         self._invalidate_caches()
 
     def add_link(
@@ -127,27 +131,36 @@ class Topology:
         if u == v:
             raise TopologyError(f"self-loop on node {u} is not allowed")
         for node in (u, v):
-            if node not in self._graph:
+            if node not in self._delay:
                 raise TopologyError(f"node {node} does not exist")
-        if self._graph.has_edge(u, v):
+        if v in self._delay[u]:
             raise TopologyError(f"link {edge_key(u, v)} already exists")
         link = Link(*edge_key(u, v), delay=delay, cost=cost if cost is not None else delay)
-        self._graph.add_edge(link.u, link.v, delay=link.delay, cost=link.cost)
+        for a, b in ((link.u, link.v), (link.v, link.u)):
+            self._delay[a][b] = link.delay
+            self._cost[a][b] = link.cost
         self._invalidate_caches()
         return link
 
     def remove_link(self, u: NodeId, v: NodeId) -> None:
         """Permanently remove a link (topology change, not a failure)."""
-        if not self._graph.has_edge(u, v):
+        if not self.has_link(u, v):
             raise TopologyError(f"link {edge_key(u, v)} does not exist")
-        self._graph.remove_edge(u, v)
+        for a, b in ((u, v), (v, u)):
+            del self._delay[a][b]
+            del self._cost[a][b]
         self._invalidate_caches()
 
     def remove_node(self, node: NodeId) -> None:
         """Permanently remove a node and its incident links."""
-        if node not in self._graph:
+        if node not in self._delay:
             raise TopologyError(f"node {node} does not exist")
-        self._graph.remove_node(node)
+        for neighbor in self._delay[node]:
+            del self._delay[neighbor][node]
+            del self._cost[neighbor][node]
+        del self._delay[node]
+        del self._cost[node]
+        del self._pos[node]
         self._invalidate_caches()
 
     # ------------------------------------------------------------------
@@ -155,54 +168,61 @@ class Topology:
     # ------------------------------------------------------------------
     @property
     def num_nodes(self) -> int:
-        return self._graph.number_of_nodes()
+        return len(self._delay)
 
     @property
     def num_links(self) -> int:
-        return self._graph.number_of_edges()
+        return sum(len(nbrs) for nbrs in self._delay.values()) // 2
 
     def nodes(self) -> list[NodeId]:
         """All node ids, sorted for determinism."""
-        return sorted(self._graph.nodes)
+        return sorted(self._delay)
 
     def links(self) -> list[Link]:
         """All links, in canonical-key order."""
-        out = []
-        for u, v, data in self._graph.edges(data=True):
-            a, b = edge_key(u, v)
-            out.append(Link(a, b, delay=data["delay"], cost=data["cost"]))
+        out = [
+            Link(u, v, delay=delay, cost=self._cost[u][v])
+            for u, nbrs in self._delay.items()
+            for v, delay in nbrs.items()
+            if u < v
+        ]
         out.sort(key=lambda link: link.key)
         return out
 
     def has_node(self, node: NodeId) -> bool:
-        return node in self._graph
+        return node in self._delay
 
     def has_link(self, u: NodeId, v: NodeId) -> bool:
-        return self._graph.has_edge(u, v)
+        return v in self._delay.get(u, ())
 
     def link(self, u: NodeId, v: NodeId) -> Link:
         """Return the :class:`Link` between ``u`` and ``v``."""
-        if not self._graph.has_edge(u, v):
-            raise TopologyError(f"link {edge_key(u, v)} does not exist")
-        data = self._graph.edges[u, v]
         a, b = edge_key(u, v)
-        return Link(a, b, delay=data["delay"], cost=data["cost"])
+        return Link(a, b, delay=self.delay(u, v), cost=self.cost(u, v))
 
     def delay(self, u: NodeId, v: NodeId) -> float:
-        return self.link(u, v).delay
+        try:
+            return self._delay[u][v]
+        except KeyError:
+            raise TopologyError(f"link {edge_key(u, v)} does not exist") from None
 
     def cost(self, u: NodeId, v: NodeId) -> float:
-        return self.link(u, v).cost
+        try:
+            return self._cost[u][v]
+        except KeyError:
+            raise TopologyError(f"link {edge_key(u, v)} does not exist") from None
 
     def neighbors(self, node: NodeId) -> Iterator[NodeId]:
-        if node not in self._graph:
-            raise TopologyError(f"node {node} does not exist")
-        return iter(sorted(self._graph.neighbors(node)))
+        return iter(sorted(self._neighbor_map(node)))
 
     def degree(self, node: NodeId) -> int:
-        if node not in self._graph:
-            raise TopologyError(f"node {node} does not exist")
-        return self._graph.degree(node)
+        return len(self._neighbor_map(node))
+
+    def _neighbor_map(self, node: NodeId) -> dict[NodeId, float]:
+        try:
+            return self._delay[node]
+        except KeyError:
+            raise TopologyError(f"node {node} does not exist") from None
 
     def average_degree(self) -> float:
         """Realised average node degree (2E/N)."""
@@ -212,41 +232,58 @@ class Topology:
 
     def position(self, node: NodeId) -> tuple[float, float] | None:
         """The node's planar position, if one was assigned."""
-        if node not in self._graph:
-            raise TopologyError(f"node {node} does not exist")
-        return self._graph.nodes[node].get("pos")
+        try:
+            return self._pos[node]
+        except KeyError:
+            raise TopologyError(f"node {node} does not exist") from None
 
     def path_delay(self, path: Iterable[NodeId]) -> float:
         """Sum of link delays along a node path."""
-        return self._path_weight(path, "delay")
+        return self._path_weight(path, self._delay)
 
     def path_cost(self, path: Iterable[NodeId]) -> float:
         """Sum of link costs along a node path."""
-        return self._path_weight(path, "cost")
+        return self._path_weight(path, self._cost)
 
-    def _path_weight(self, path: Iterable[NodeId], attr: str) -> float:
+    @staticmethod
+    def _path_weight(
+        path: Iterable[NodeId], weights: dict[NodeId, dict[NodeId, float]]
+    ) -> float:
         nodes = list(path)
         total = 0.0
         for u, v in zip(nodes, nodes[1:]):
-            if not self._graph.has_edge(u, v):
-                raise TopologyError(f"path uses missing link {edge_key(u, v)}")
-            total += self._graph.edges[u, v][attr]
+            try:
+                total += weights[u][v]
+            except KeyError:
+                raise TopologyError(f"path uses missing link {edge_key(u, v)}") from None
         return total
 
     def is_connected(self) -> bool:
-        if self.num_nodes == 0:
-            return True
-        return nx.is_connected(self._graph)
+        return len(self.connected_components()) <= 1
 
     def connected_components(self) -> list[set[NodeId]]:
-        return [set(c) for c in nx.connected_components(self._graph)]
+        """The components, listed by their first node in insertion order."""
+        components: list[set[NodeId]] = []
+        seen: set[NodeId] = set()
+        for start in self._delay:
+            if start in seen:
+                continue
+            component = {start}
+            stack = [start]
+            while stack:
+                for v in self._delay[stack.pop()]:
+                    if v not in component:
+                        component.add(v)
+                        stack.append(v)
+            seen |= component
+            components.append(component)
+        return components
 
     # ------------------------------------------------------------------
     # Views and export
     # ------------------------------------------------------------------
     def _invalidate_caches(self) -> None:
-        """Mutation hook: drop derived state and advance the cache token."""
-        self._adjacency_cache = None
+        """Mutation hook: drop the compiled graph and advance the cache token."""
         self._csr_cache = None
         self._cache_token = next(_CACHE_TOKENS)
 
@@ -260,35 +297,21 @@ class Topology:
         """
         return self._cache_token
 
-    def graph_view(self) -> nx.Graph:
-        """Read-only view of the underlying networkx graph.
-
-        Exposed for algorithms (e.g. cross-validation against networkx in
-        tests); mutation must go through the :class:`Topology` API.
-        """
-        return self._graph.copy(as_view=True)
-
     def adjacency(self) -> Mapping[NodeId, dict[NodeId, float]]:
         """Delay-weighted adjacency mapping ``{u: {v: delay}}``.
 
-        Cached (and invalidated on mutation): shortest-path computations
-        call this on every invocation, thousands of times per experiment.
-        Callers must treat the result as read-only.
+        This is the store itself, so it always reflects the current
+        state; callers must treat it as read-only.
         """
-        if self._adjacency_cache is None:
-            self._adjacency_cache = {
-                u: {v: data["delay"] for v, data in self._graph.adj[u].items()}
-                for u in self._graph.nodes
-            }
-        return self._adjacency_cache
+        return self._delay
 
     def csr(self):
         """The compiled :class:`~repro.routing.csr.CsrGraph` for this state.
 
-        Built lazily on first use and invalidated on mutation, like
-        :meth:`adjacency`.  All SPF kernels in :mod:`repro.routing.spf`
-        run over this compiled form; :class:`~repro.graph.cache.TopologyCache`
-        pre-compiles it at build time so cached topologies arrive hot.
+        Built lazily on first use and invalidated on mutation.  All SPF
+        kernels in :mod:`repro.routing.spf` run over this compiled form;
+        :class:`~repro.graph.cache.TopologyCache` pre-compiles it at
+        build time so cached topologies arrive hot.
         """
         if self._csr_cache is None:
             # Imported here: repro.routing.csr imports NodeId from this
@@ -301,7 +324,9 @@ class Topology:
     def copy(self, name: str | None = None) -> "Topology":
         """Deep copy; topology mutations on the copy do not affect this one."""
         clone = Topology(name or self.name)
-        clone._graph = self._graph.copy()
+        clone._delay = {u: dict(nbrs) for u, nbrs in self._delay.items()}
+        clone._cost = {u: dict(nbrs) for u, nbrs in self._cost.items()}
+        clone._pos = dict(self._pos)
         return clone
 
     def validate(self) -> None:
@@ -310,22 +335,20 @@ class Topology:
         Checks: positive weights, no self-loops, and (when positions exist)
         positions present on every node.
         """
-        positioned = 0
-        for node in self._graph.nodes:
-            if self._graph.nodes[node].get("pos") is not None:
-                positioned += 1
+        positioned = sum(1 for pos in self._pos.values() if pos is not None)
         if positioned not in (0, self.num_nodes):
             raise TopologyError(
                 f"{self.name}: {positioned}/{self.num_nodes} nodes have positions; "
                 "positions must be assigned to all nodes or none"
             )
-        for u, v, data in self._graph.edges(data=True):
-            if u == v:
-                raise TopologyError(f"{self.name}: self-loop on node {u}")
-            if data.get("delay", 0) <= 0 or data.get("cost", 0) <= 0:
-                raise TopologyError(
-                    f"{self.name}: link {edge_key(u, v)} has non-positive weight"
-                )
+        for u, nbrs in self._delay.items():
+            for v, delay in nbrs.items():
+                if u == v:
+                    raise TopologyError(f"{self.name}: self-loop on node {u}")
+                if delay <= 0 or self._cost[u][v] <= 0:
+                    raise TopologyError(
+                        f"{self.name}: link {edge_key(u, v)} has non-positive weight"
+                    )
 
     def __repr__(self) -> str:
         return (

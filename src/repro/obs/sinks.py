@@ -9,8 +9,9 @@ tables stay byte-identical with every sink enabled:
   completed/total, rolling throughput, ETA, fault counts, in-flight;
 - :class:`FlightRecorder` — an append-only NDJSON record of every
   telemetry event (``--telemetry-out``), flushed per record so a killed
-  run leaves a usable post-mortem; :func:`load_flight_record` tolerates
-  a torn trailing record the same way ``CheckpointStore`` does;
+  run leaves a usable post-mortem; it and :func:`load_flight_record`
+  treat a torn trailing record by the rule of :mod:`repro.obs.jsonl`,
+  as ``CheckpointStore`` does;
 - :class:`OpenMetricsSink` — an OpenMetrics textfile (atomically
   replaced) so external scrapers (node-exporter textfile collector,
   a Prometheus file probe) can watch a run (``--openmetrics-out``).
@@ -28,6 +29,7 @@ import time
 from pathlib import Path
 
 from repro.errors import ConfigurationError
+from repro.obs.jsonl import seal_tail, whole_records
 
 
 class TelemetrySink:
@@ -57,20 +59,17 @@ class FlightRecorder(TelemetrySink):
 
     Durability mirrors ``CheckpointStore``: one flushed line per record,
     so a killed run loses at most the line being written.  Opening an
-    existing file with a torn trailing line (its final newline never hit
-    the disk) truncates the tear first, so appends from a new run never
-    glue onto it and readers still only ever see whole records.
+    existing file seals its tail first (:func:`~repro.obs.jsonl.seal_tail`:
+    an intact last record gets its missing newline, a torn one is cut),
+    so appends from a new run never glue onto it and readers still only
+    ever see whole records.
     """
 
     def __init__(self, path: str | os.PathLike) -> None:
         self.path = Path(path)
         self.path.parent.mkdir(parents=True, exist_ok=True)
         if self.path.exists():
-            data = self.path.read_bytes()
-            if data and not data.endswith(b"\n"):
-                keep = data.rfind(b"\n") + 1  # 0 when no newline at all
-                with self.path.open("r+b") as fh:
-                    fh.truncate(keep)
+            seal_tail(self.path)
         self._fh = self.path.open("a", encoding="utf-8")
 
     def handle(self, record: dict) -> None:
@@ -89,15 +88,15 @@ class FlightRecorder(TelemetrySink):
 def load_flight_record(path: str | os.PathLike) -> list[dict]:
     """Read a flight record back into dicts.
 
-    A torn *trailing* line (the run was killed mid-append) is skipped;
-    malformed records anywhere earlier indicate real damage and raise
-    :class:`~repro.errors.ConfigurationError` — the same tolerance rule
-    as the checkpoint store.
+    A torn trailing record (the run was killed mid-append) is skipped;
+    any other malformed record indicates real damage and raises
+    :class:`~repro.errors.ConfigurationError` — the rule of
+    :mod:`repro.obs.jsonl`, shared with the checkpoint store.  The file
+    itself is not modified.
     """
-    raw_lines = Path(path).read_bytes().splitlines()
     records: list[dict] = []
-    for lineno, raw in enumerate(raw_lines, start=1):
-        last = lineno == len(raw_lines)
+    data = whole_records(Path(path).read_bytes())
+    for lineno, raw in enumerate(data.splitlines(), start=1):
         try:
             line = raw.decode("utf-8").strip()
             if not line:
@@ -105,9 +104,7 @@ def load_flight_record(path: str | os.PathLike) -> list[dict]:
             record = json.loads(line)
             if not isinstance(record, dict):
                 raise ValueError("record is not an object")
-        except (UnicodeDecodeError, ValueError) as exc:
-            if last:
-                break  # torn trailing record from a killed run
+        except ValueError as exc:  # also UnicodeDecodeError
             raise ConfigurationError(
                 f"{path}:{lineno}: corrupt flight record: {exc}"
             ) from exc

@@ -1,6 +1,8 @@
 """Unit tests for the Topology container."""
 
+import networkx as nx
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import TopologyError
 from repro.graph.topology import Link, Topology, edge_key
@@ -141,17 +143,17 @@ class TestQueries:
         assert not lonely.is_connected()
         assert len(lonely.connected_components()) == 2
 
-    def test_adjacency_is_cached_and_invalidated(self):
+    def test_adjacency_reflects_mutations(self):
         topo = Topology()
         topo.add_node(0)
         topo.add_node(1)
         topo.add_link(0, 1, delay=1.0)
-        adj1 = topo.adjacency()
-        assert topo.adjacency() is adj1  # cached
+        assert topo.adjacency() == {0: {1: 1.0}, 1: {0: 1.0}}
         topo.add_node(2)
-        adj2 = topo.adjacency()
-        assert adj2 is not adj1
-        assert 2 in adj2
+        topo.add_link(2, 1, delay=3.0)
+        assert topo.adjacency() == {0: {1: 1.0}, 1: {0: 1.0, 2: 3.0}, 2: {1: 3.0}}
+        topo.remove_node(0)
+        assert topo.adjacency() == {1: {2: 3.0}, 2: {1: 3.0}}
 
 
 class TestCopyAndValidate:
@@ -179,3 +181,76 @@ class TestCopyAndValidate:
     def test_repr_mentions_size(self, triangle):
         text = repr(triangle)
         assert "nodes=3" in text and "links=3" in text
+
+
+@st.composite
+def graphs_and_mutations(draw):
+    """A random graph (nodes and links in a random insertion order, links
+    given either way round) and a list of ``("link" | "node", index)``
+    removals."""
+    nodes = draw(st.permutations(range(draw(st.integers(1, 10)))))
+    pairs = [(u, v) for u in nodes for v in nodes if u < v]
+    weights = st.floats(0.5, 9.5)
+    links = []
+    for u, v in draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []:
+        if draw(st.booleans()):
+            u, v = v, u
+        links.append((u, v, draw(weights), draw(weights)))
+    removals = draw(
+        st.lists(st.tuples(st.sampled_from(["link", "node"]), st.integers(0, 99)), max_size=8)
+    )
+    return nodes, links, removals
+
+
+def ordered_adjacency(topo):
+    """``adjacency()`` as lists, so comparisons see insertion order."""
+    return [(u, list(nbrs.items())) for u, nbrs in topo.adjacency().items()]
+
+
+class TestAgainstNetworkx:
+    """The store agrees with an ``nx.Graph`` fed the same mutations."""
+
+    @staticmethod
+    def assert_same(topo, graph):
+        assert topo.connected_components() == [set(c) for c in nx.connected_components(graph)]
+        assert topo.is_connected() == (len(graph) == 0 or nx.is_connected(graph))
+        assert topo.nodes() == sorted(graph.nodes)
+        assert [(l.u, l.v, l.delay, l.cost) for l in topo.links()] == sorted(
+            (min(u, v), max(u, v), d["delay"], d["cost"])
+            for u, v, d in graph.edges(data=True)
+        )
+        assert topo.num_links == graph.number_of_edges()
+        for node in graph.nodes:
+            assert list(topo.neighbors(node)) == sorted(graph.neighbors(node))
+            assert topo.degree(node) == graph.degree(node)
+        assert ordered_adjacency(topo) == [
+            (u, [(v, d["delay"]) for v, d in graph.adj[u].items()]) for u in graph.nodes
+        ]
+
+    @settings(max_examples=60, deadline=None)
+    @given(graphs_and_mutations())
+    def test_mutations_match_networkx(self, case):
+        nodes, links, removals = case
+        topo, graph = Topology(), nx.Graph()
+        for node in nodes:
+            topo.add_node(node)
+            graph.add_node(node)
+        for u, v, delay, cost in links:
+            topo.add_link(u, v, delay=delay, cost=cost)
+            # Topology adds every link in canonical orientation.
+            graph.add_edge(*edge_key(u, v), delay=delay, cost=cost)
+        self.assert_same(topo, graph)
+        clone = topo.copy()
+        original = (ordered_adjacency(topo), topo.links())
+        for kind, index in removals:
+            if kind == "link" and graph.number_of_edges():
+                u, v = topo.links()[index % topo.num_links].key
+                topo.remove_link(u, v)
+                graph.remove_edge(u, v)
+            elif kind == "node" and len(graph):
+                node = topo.nodes()[index % topo.num_nodes]
+                topo.remove_node(node)
+                graph.remove_node(node)
+            self.assert_same(topo, graph)
+        # The copy kept the original state, insertion order included.
+        assert (ordered_adjacency(clone), clone.links()) == original

@@ -224,6 +224,15 @@ class TestFlightRecorder:
         records = load_flight_record(path)
         assert [r["kind"] for r in records] == ["sweep.start"]
 
+    def test_append_keeps_an_intact_last_record_missing_its_newline(self, tmp_path):
+        path = tmp_path / "flight.ndjson"
+        path.write_text('{"kind":"a"}\n{"kind":"b"}')  # b's newline never landed
+        assert [r["kind"] for r in load_flight_record(path)] == ["a", "b"]
+        sink = FlightRecorder(path)
+        sink.handle({"kind": "c"})
+        sink.close()
+        assert [r["kind"] for r in load_flight_record(path)] == ["a", "b", "c"]
+
     def test_render_timeline_and_summary(self, tmp_path):
         records = [
             {"t": 10.0, "kind": "sweep.start", "total": 2},

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from repro.graph.waxman import WaxmanConfig, waxman_topology
 from repro.routing.failure_view import FailureSet
 from repro.routing.spf import dijkstra, dijkstra_with_barriers
+from tests.graph.networkx_oracle import to_networkx
 
 
 def make_topology(seed: int, n: int = 25):
@@ -22,7 +23,7 @@ class TestDijkstraProperties:
         topology = make_topology(seed)
         ours = dijkstra(topology, source)
         reference = nx.single_source_dijkstra_path_length(
-            topology.graph_view(), source, weight="delay"
+            to_networkx(topology), source, weight="delay"
         )
         assert set(ours.dist) == set(reference)
         for node, dist in reference.items():

@@ -12,6 +12,7 @@ from repro.routing.spf import (
     shortest_path,
     spf_distance,
 )
+from tests.graph.networkx_oracle import to_networkx
 
 
 class TestBasics:
@@ -107,7 +108,7 @@ class TestAgainstNetworkx:
     def test_distances_match(self, waxman50, source):
         ours = dijkstra(waxman50, source)
         reference = nx.single_source_dijkstra_path_length(
-            waxman50.graph_view(), source, weight="delay"
+            to_networkx(waxman50), source, weight="delay"
         )
         assert set(ours.dist) == set(reference)
         for node, dist in reference.items():
