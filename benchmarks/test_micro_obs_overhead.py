@@ -88,7 +88,6 @@ def test_disabled_obs_registers_nothing():
     assert obs.metrics.snapshot() == {
         "counters": {},
         "gauges": {},
-        "histograms": {},
         "hdr_histograms": {},
     }
 

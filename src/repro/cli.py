@@ -47,8 +47,8 @@ Commands
     Version and component inventory.
 
 The run-producing commands accept ``--obs-out PATH`` to capture a
-structured run report (metric counters, span timings, event accounting)
-as JSON; ``repro obs report PATH`` renders it afterwards.  They also
+structured run report (metric counters, histograms, span timings) as
+JSON; ``repro obs report PATH`` renders it afterwards.  They also
 accept ``--trace-out PATH`` to record causal restoration episodes in
 simulated time (:mod:`repro.obs.tracing`) as an NDJSON trace; tracing
 is observe-only, so stdout tables stay byte-identical with or without
@@ -77,15 +77,15 @@ flight record after the fact.
 
 Parallel execution
 ------------------
-``figures``, ``scenario``, and ``simulate`` accept ``--jobs N`` and
-``--executor {serial,process}``.  ``--jobs N`` with ``N > 1`` fans work
-units out over a pool of long-lived worker processes (implying
-``--executor process``); results are merged deterministically in seed
-order, so parallel output is byte-identical to serial output.
-``--jobs`` below 1 is rejected, as is ``--executor serial`` combined
-with ``--jobs`` above 1.  A ``simulate`` run is a single discrete-event
-work unit, so it gains nothing from ``--jobs`` — the flags are accepted
-for consistency and validated the same way.
+Every command that runs work units (``figures``, ``scenario``,
+``serve``, ``protection``, ``distribution``, ``trace figure``) accepts
+``--jobs N`` and ``--executor {serial,process}``.  ``--jobs N`` with
+``N > 1`` fans work units out over a pool of long-lived worker
+processes (implying ``--executor process``); results are merged
+deterministically in seed order, so parallel output is byte-identical
+to serial output.  ``--jobs`` below 1 is rejected, as is ``--executor
+serial`` combined with ``--jobs`` above 1.  A ``simulate`` run is a
+single discrete-event run, so it takes none of these flags.
 
 Fault tolerance
 ---------------
@@ -217,7 +217,6 @@ def build_parser() -> argparse.ArgumentParser:
                           help="write an observability run report (JSON)")
     simulate.add_argument("--trace-out", metavar="PATH",
                           help="write causal restoration episodes (NDJSON)")
-    _add_executor_args(simulate)
 
     controller = sub.add_parser(
         "controller", aliases=["serve"],
@@ -443,7 +442,7 @@ def _make_obs(args: argparse.Namespace):
     """The run's Observability, or None when no capture flag was given.
 
     ``--obs-out`` (or ``--profile``, which needs the span profiler)
-    enables the metrics/spans/events instruments; ``--trace-out``
+    enables the metrics and spans instruments; ``--trace-out``
     attaches a restoration tracer.  A trace-only run keeps the other
     instruments disabled, so the tracer is the only live
     instrumentation.
@@ -747,19 +746,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     from repro.core.recovery import worst_case_failure
     from repro.sim.failures import FailureSchedule
     from repro.sim.protocols import SmrpSimulation
-
-    # One DES run is a single work unit; the executor flags are validated
-    # for CLI consistency but a pool would sit idle.
-    _make_executor(args).close()
-    if args.jobs > 1:
-        print("note: simulate is a single work unit; --jobs has no effect")
-    if (
-        getattr(args, "progress", False)
-        or getattr(args, "telemetry_out", None)
-        or getattr(args, "openmetrics_out", None)
-    ):
-        print("note: live telemetry covers scenario sweeps; a simulate "
-              "run emits no lifecycle events")
 
     topology = waxman_topology(
         WaxmanConfig(n=args.n, alpha=0.4, beta=0.3, seed=args.seed)
@@ -1236,11 +1222,11 @@ def _cmd_info(args: argparse.Namespace) -> int:
     ]
     for name, description in components:
         print(f"  {name:24} {description}")
-    print("\nparallel execution: figures/scenario/simulate accept "
-          "--jobs N and --executor {serial,process};\n"
-          "  --jobs N > 1 fans scenarios over a pool of long-lived worker "
-          "processes with\n"
-          "  deterministic seed-order merging.\n"
+    print("\nparallel execution: figures/scenario/serve/protection/"
+          "distribution accept --jobs N and\n"
+          "  --executor {serial,process}; --jobs N > 1 fans scenarios over "
+          "a pool of long-lived worker\n"
+          "  processes with deterministic seed-order merging.\n"
           "fault tolerance: --timeout S, --retries N, "
           "--checkpoint-dir DIR, --resume (each implies the pool);\n"
           "  crashed/hung scenarios are retried with backoff and completed "

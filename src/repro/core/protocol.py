@@ -28,12 +28,7 @@ from repro.obs import NULL_OBS, Observability
 from repro.core.join import PathSelection, select_join, select_path, unicast_delay
 from repro.core.leave import LeaveOutcome, process_leave
 from repro.core.query import enumerate_candidates_query
-from repro.core.recovery import (
-    RecoveryResult,
-    TreeRepairReport,
-    local_detour_recovery,
-    repair_tree,
-)
+from repro.core.recovery import TreeRepairReport, repair_tree
 from repro.core.reshape import ReshapeDecision, apply_reshape, evaluate_reshape
 from repro.core.state import StateManager
 from repro.routing.failure_view import NO_FAILURES, FailureSet
@@ -326,30 +321,16 @@ class SMRPProtocol:
     # ------------------------------------------------------------------
     # Recovery and introspection
     # ------------------------------------------------------------------
-    def recover(self, member: NodeId, failures: FailureSet) -> RecoveryResult:
-        """Local-detour restoration of ``member`` (measurement only)."""
-        with self.obs.span("smrp.recover"):
-            tracer = self.obs.tracer
-            if tracer is not None:
-                # Episodes opened under this entry point are labelled with
-                # the protocol API that produced them.
-                with tracer.origin("smrp.recover"):
-                    return local_detour_recovery(
-                        self.topology, self.tree, member, failures, obs=self.obs
-                    )
-            return local_detour_recovery(
-                self.topology, self.tree, member, failures, obs=self.obs
-            )
-
     def repair(self, failures: FailureSet) -> TreeRepairReport:
         """Whole-session restoration: repair the tree, rebind the state.
 
-        Unlike :meth:`recover` — a per-member measurement that leaves the
-        session untouched — this *mutates* the session the way §3.2.3's
-        hierarchical recovery would: disconnected members re-attach via
-        local detours (nearest-first, so restored members compound), the
-        repaired tree replaces the current one, and the per-node SHR
-        state is rebuilt against it.  Each protocol instance owns its
+        Unlike :func:`~repro.core.recovery.local_detour_recovery` — a
+        per-member measurement that leaves the session untouched — this
+        *mutates* the session the way §3.2.3's hierarchical recovery
+        would: disconnected members re-attach via local detours
+        (nearest-first, so restored members compound), the repaired tree
+        replaces the current one, and the per-node SHR state is rebuilt
+        against it.  Each protocol instance owns its
         tree and state outright, so concurrent hosted groups repaired
         against the same failure stay fully isolated from one another.
         """

@@ -232,7 +232,7 @@ def _detour_recovery(
         raise UnrecoverableFailureError(
             member, f"{spec.message} ({failures.describe()})"
         )
-    obs.histogram(spec.hops).observe(len(detour) - 1)
+    obs.hdr_histogram(spec.hops).observe(len(detour) - 1)
     result = _detour_result(topology, tree, member, strategy, detour)
     if tracer is not None:
         _trace_recovery_episode(tracer, topology, tree, result, failures)
@@ -369,7 +369,7 @@ def _trace_recovery_episode(
         tracer.scenario_key,
         result.member,
         result.strategy,
-        tracer.current_origin(origin),
+        origin,
         failures.describe(),
         0.0,
         outcome="already_connected" if result.already_connected else "restored",
@@ -423,7 +423,7 @@ def _trace_unrecoverable_episode(
         tracer.scenario_key,
         member,
         strategy,
-        tracer.current_origin(origin),
+        origin,
         failures.describe(),
         0.0,
         outcome="unrecoverable",

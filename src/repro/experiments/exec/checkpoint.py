@@ -15,9 +15,9 @@ type of tag-less records from older stores — and ``"service_shard"`` for
 :class:`~repro.controller.service.ShardResult`), so one store format
 serves every work-unit kind without guessing at payload shapes.
 
-Durability model: records are appended and flushed line-by-line, so a
-crash loses at most the line being written; :meth:`load` seals the tail
-first (:func:`~repro.obs.jsonl.seal_tail`: a torn trailing record is
+Durability model: records are appended and flushed line-by-line through
+:mod:`repro.obs.jsonl`, so a crash loses at most the line being
+written; :meth:`load` seals the tail first (a torn trailing record is
 truncated, an intact one missing its newline gets it) and rejects
 corruption anywhere else, which indicates real damage rather than an
 interrupted write, so the first append after a resume starts on a fresh
@@ -28,13 +28,12 @@ tables are byte-identical to an uninterrupted run's.
 
 from __future__ import annotations
 
-import json
 import os
 from pathlib import Path
 
 from repro.errors import CheckpointError
 from repro.experiments.runner import ScenarioResult
-from repro.obs.jsonl import seal_tail
+from repro.obs import jsonl
 
 #: Store layout version; a mismatching store is rejected, not guessed at.
 STORE_VERSION = 1
@@ -99,20 +98,19 @@ class CheckpointStore:
         a later :meth:`put` appends a fresh line rather than gluing onto
         the partial one (which would corrupt both records), and an intact
         last record missing its newline gets it.  Any other malformed
-        record raises :class:`~repro.errors.CheckpointError` — that is
-        corruption, not an interrupted write.
+        record raises :class:`~repro.errors.CheckpointError` naming its
+        line — that is corruption, not an interrupted write.
         """
         self._index.clear()
         if not self.path.exists():
             return 0
-        for lineno, raw in enumerate(seal_tail(self.path).splitlines(), start=1):
-            if not raw.strip():
-                continue
+        for lineno, record in jsonl.read_records(
+            self.path, seal=True, what="checkpoint record", error=CheckpointError
+        ):
             try:
-                record = json.loads(raw)
                 if record.get("store_version") != STORE_VERSION:
                     raise CheckpointError(
-                        f"{self.path}: unsupported store version "
+                        f"{self.path}:{lineno}: unsupported store version "
                         f"{record.get('store_version')!r}"
                     )
                 key = record["key"]
@@ -120,7 +118,7 @@ class CheckpointStore:
                 result = payload_cls.from_dict(record["result"])
             except CheckpointError:
                 raise
-            except (ValueError, KeyError, TypeError) as exc:  # ValueError: bad JSON
+            except (ValueError, KeyError, TypeError, AttributeError) as exc:
                 raise CheckpointError(
                     f"{self.path}:{lineno}: corrupt checkpoint record: {exc}"
                 ) from exc
@@ -159,10 +157,7 @@ class CheckpointStore:
         }
         if self._writer is None:
             self._writer = self.path.open("a", encoding="utf-8")
-        self._writer.write(
-            json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n"
-        )
-        self._writer.flush()
+        jsonl.append(self._writer, record)
         self._index[key] = result
         return True
 

@@ -621,12 +621,6 @@ class ParallelExecutor(Executor):
             # is the best available answer to "where was it stuck?".
             if worker.last_heartbeat is not None:
                 spans = worker.last_heartbeat.get("spans") or []
-            obs.emit(
-                "exec.timeout",
-                index=task.index,
-                attempt=task.attempt,
-                spans=spans,
-            )
             if spans:
                 reason = f"{reason}; last seen in span {' > '.join(spans)}"
         if self.telemetry is not None:

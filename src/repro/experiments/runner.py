@@ -258,7 +258,6 @@ def run_scenario(
                 )
             )
     obs.counter("scenario.runs").inc()
-    obs.emit("scenario_result", config=config.describe(), summary=result.summary())
     return result
 
 

@@ -4,14 +4,13 @@ The paper's evaluation is entirely empirical — recovery latency, message
 overhead (§4.4), tree cost — so this package makes those quantities
 first-class measured outputs of any run instead of ad-hoc return values:
 
-- :class:`MetricsRegistry` — counters, gauges, fixed-bucket histograms
-  (hop counts), and log-bucketed :class:`HdrHistogram` quantile trackers
-  for latency-shaped metrics;
+- :class:`MetricsRegistry` — counters, gauges, and log-bucketed
+  :class:`HdrHistogram` quantile trackers (exact for integer series such
+  as hop counts);
 - :class:`SpanProfiler` — hierarchical ``perf_counter`` timing tree;
-- :class:`EventLog` — bounded structured events, exportable as JSONL;
 - run reports — one JSON document per run (``repro obs report`` renders it).
 
-The :class:`Observability` facade bundles the three and is what the
+The :class:`Observability` facade bundles the two and is what the
 instrumented layers accept (``obs=`` keyword).  Passing nothing means the
 module-level :data:`NULL_OBS` is used: every instrument is a shared no-op
 object, so disabled instrumentation costs one attribute access and an
@@ -41,7 +40,6 @@ from repro.obs.diff import (
     render_report_diff,
     span_totals,
 )
-from repro.obs.events import DEFAULT_MAX_EVENTS, EventLog, load_jsonl, read_jsonl
 from repro.obs.export import (
     OPENMETRICS_PREFIX,
     REPORT_VERSION,
@@ -74,12 +72,10 @@ from repro.obs.prof import (
     self_time_total,
 )
 from repro.obs.registry import (
-    DEFAULT_BUCKETS,
     DEFAULT_HDR_GROWTH,
     Counter,
     Gauge,
     HdrHistogram,
-    Histogram,
     MetricsRegistry,
 )
 from repro.obs.spans import SpanNode, SpanProfiler
@@ -90,7 +86,6 @@ from repro.obs.tracing import (
     TraceSpan,
     chrome_trace_document,
     critical_path,
-    episodes_from_chrome,
     read_trace_ndjson,
     validate_episode,
     write_chrome_trace,
@@ -99,28 +94,26 @@ from repro.obs.tracing import (
 
 
 class Observability:
-    """Facade bundling a registry, a span profiler, and an event log.
+    """Facade bundling a metrics registry and a span profiler.
 
-    ``tracer`` is the optional fourth instrument: a
+    ``tracer`` is the optional third instrument: a
     :class:`~repro.obs.tracing.RestorationTracer` collecting causal
     restoration episodes in simulated time.  It defaults to ``None`` —
-    unlike the always-present metrics/spans/events, tracing is attached
+    unlike the always-present metrics and spans, tracing is attached
     explicitly (``--trace-out``) and instrumented code guards on
     ``obs.tracer is not None``.
     """
 
-    __slots__ = ("enabled", "metrics", "spans", "events", "tracer")
+    __slots__ = ("enabled", "metrics", "spans", "tracer")
 
     def __init__(
         self,
         enabled: bool = True,
-        max_events: int | None = DEFAULT_MAX_EVENTS,
         tracer: "RestorationTracer | None" = None,
     ) -> None:
         self.enabled = enabled
         self.metrics = MetricsRegistry(enabled=enabled)
         self.spans = SpanProfiler(enabled=enabled)
-        self.events = EventLog(enabled=enabled, max_records=max_events)
         self.tracer = tracer
 
     # -- delegation shorthands ------------------------------------------
@@ -130,17 +123,11 @@ class Observability:
     def gauge(self, name: str):
         return self.metrics.gauge(name)
 
-    def histogram(self, name: str, bounds=DEFAULT_BUCKETS):
-        return self.metrics.histogram(name, bounds)
-
     def hdr_histogram(self, name: str, growth=DEFAULT_HDR_GROWTH):
         return self.metrics.hdr_histogram(name, growth)
 
     def span(self, name: str):
         return self.spans.span(name)
-
-    def emit(self, kind: str, **fields) -> None:
-        self.events.emit(kind, **fields)
 
     def run_report(self, meta: dict | None = None) -> dict:
         return build_run_report(self, meta)
@@ -156,9 +143,7 @@ __all__ = [
     "MetricsRegistry",
     "Counter",
     "Gauge",
-    "Histogram",
     "HdrHistogram",
-    "DEFAULT_BUCKETS",
     "DEFAULT_HDR_GROWTH",
     "SpanProfiler",
     "SpanNode",
@@ -168,10 +153,6 @@ __all__ = [
     "collapse_stacks",
     "render_collapsed",
     "render_profile",
-    "EventLog",
-    "DEFAULT_MAX_EVENTS",
-    "read_jsonl",
-    "load_jsonl",
     "REPORT_VERSION",
     "build_run_report",
     "write_run_report",
@@ -212,5 +193,4 @@ __all__ = [
     "write_trace_ndjson",
     "chrome_trace_document",
     "write_chrome_trace",
-    "episodes_from_chrome",
 ]

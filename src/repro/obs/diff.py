@@ -12,8 +12,7 @@ matter for triaging a regression between two builds or configurations:
 - **latency-quantile ratios** — p50/p99 of every
   :class:`~repro.obs.registry.HdrHistogram` in report *b* relative to
   report *a*: a tail regression (p99 blew up while the mean held) is
-  exactly what mean-based counters hide;
-- **event accounting** — recorded/dropped totals side by side.
+  exactly what mean-based counters hide.
 
 ``repro obs diff a.json b.json --fail-over R`` exits nonzero when any
 span-time *or* latency-quantile ratio exceeds ``R``, making the diff
@@ -79,7 +78,6 @@ def diff_run_reports(a: dict, b: dict) -> dict:
           "counters":  {name: {"a": .., "b": .., "delta": ..}},   # changed only
           "spans":     {name: {"a_s": .., "b_s": .., "ratio": ..}},
           "quantiles": {"name.p99": {"a": .., "b": .., "ratio": ..}},
-          "events":    {"a": {...}, "b": {...}},
         }
 
     Span ``ratio`` is ``b_s / a_s``; a span absent (or zero) in ``a`` but
@@ -140,7 +138,6 @@ def diff_run_reports(a: dict, b: dict) -> dict:
         "counters": counters,
         "spans": spans,
         "quantiles": quantiles,
-        "events": {"a": a.get("events", {}), "b": b.get("events", {})},
     }
 
 
@@ -230,12 +227,4 @@ def render_report_diff(diff: dict, threshold: float | None = None) -> str:
                 f"{entry['b']:g}  {shown}{flag}"
             )
 
-    events = diff.get("events", {})
-    ea, eb = events.get("a", {}), events.get("b", {})
-    if ea or eb:
-        lines.append("")
-        lines.append(
-            f"events: {ea.get('recorded', 0)} -> {eb.get('recorded', 0)} "
-            f"recorded, {ea.get('dropped', 0)} -> {eb.get('dropped', 0)} dropped"
-        )
     return "\n".join(lines)

@@ -1,17 +1,22 @@
 """Run reports: one JSON document summarizing an observed run.
 
-A run report bundles the metrics snapshot, the span timing tree, and the
-event-log accounting under a caller-supplied ``meta`` block.  It is the
-interchange format between the experiment runner (``--obs-out run.json``)
-and the CLI renderer (``repro obs report run.json``), and what benchmarks
-assert against instead of re-deriving counts.
+A run report bundles the metrics snapshot and the span timing tree
+under a caller-supplied ``meta`` block.  It is the interchange format
+between the experiment runner (``--obs-out run.json``) and the CLI
+renderer (``repro obs report run.json``), and what benchmarks assert
+against instead of re-deriving counts.
+
+Version 2 dropped version 1's fixed-bucket ``histograms`` section (hop
+counts moved onto the exact integer mode of the hdr histograms) and its
+``events`` accounting.  Readers ignore both sections, so a version-1
+report still renders and diffs by its counters, gauges, hdr histograms
+and spans.
 """
 
 from __future__ import annotations
 
 import json
 import re
-from math import ceil
 from typing import TYPE_CHECKING
 
 from repro.errors import ConfigurationError
@@ -21,9 +26,9 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs import Observability
 
 #: Schema marker so future readers can evolve the format compatibly.
-REPORT_VERSION = 1
+REPORT_VERSION = 2
 
-#: Quantiles the report renderer prints for every histogram family.
+#: Quantiles the report renderer prints for every histogram.
 REPORT_QUANTILES: tuple[tuple[str, float], ...] = (
     ("p50", 0.5),
     ("p95", 0.95),
@@ -32,22 +37,12 @@ REPORT_QUANTILES: tuple[tuple[str, float], ...] = (
 
 
 def build_run_report(obs: "Observability", meta: dict | None = None) -> dict:
-    """Assemble the JSON-serializable run report for ``obs``.
-
-    Event accounting includes totals absorbed from merged worker runs
-    (:func:`repro.obs.merge.merge_report_into`): worker event *records*
-    stay in their worker, only the counts travel.
-    """
-    events = obs.events
+    """Assemble the JSON-serializable run report for ``obs``."""
     report = {
         "version": REPORT_VERSION,
         "meta": dict(meta or {}),
         "metrics": obs.metrics.snapshot(),
         "spans": obs.spans.report(),
-        "events": {
-            "recorded": len(events) + events.absorbed_records,
-            "dropped": events.dropped + events.absorbed_dropped,
-        },
     }
     tracer = getattr(obs, "tracer", None)
     if tracer is not None:
@@ -100,39 +95,6 @@ def render_run_report(report: dict) -> str:
                 f"  {name:<{width}}  {g['value']:g} (high-water {g['high_water']:g})"
             )
 
-    histograms = metrics.get("histograms", {})
-    if histograms:
-        lines.append("")
-        lines.append("histograms:")
-        for name in sorted(histograms):
-            h = histograms[name]
-            # Mid-run partial state may include a registered histogram
-            # with zero observations: guard the mean and render missing
-            # extrema as em-dashes instead of "None".
-            mean = h["sum"] / h["count"] if h["count"] else 0.0
-            low = "—" if h["min"] is None else h["min"]
-            high = "—" if h["max"] is None else h["max"]
-            quantiles = " ".join(
-                f"{label}={_quantile_text(_fixed_quantile(h, q))}"
-                for label, q in REPORT_QUANTILES
-            )
-            lines.append(
-                f"  {name}: n={h['count']} mean={mean:.3f} "
-                f"min={low} max={high} {quantiles}"
-            )
-            lower = None
-            for bound, count in zip(h["bounds"], h["counts"]):
-                if count:
-                    label = (
-                        f"<= {bound:g}" if lower is None
-                        else f"({lower:g}, {bound:g}]"
-                    )
-                    lines.append(f"    {label:>12}  {count}")
-                lower = bound
-            overflow = h["counts"][len(h["bounds"])]
-            if overflow:
-                lines.append(f"    {'> ' + format(h['bounds'][-1], 'g'):>12}  {overflow}")
-
     hdr = metrics.get("hdr_histograms", {})
     if hdr:
         lines.append("")
@@ -156,14 +118,6 @@ def render_run_report(report: dict) -> str:
         lines.append("spans (calls, total seconds):")
         lines.extend(_render_span_tree(spans, depth=0))
 
-    events = report.get("events", {})
-    if events:
-        lines.append("")
-        lines.append(
-            f"events: {events.get('recorded', 0)} recorded, "
-            f"{events.get('dropped', 0)} dropped"
-        )
-
     tracing = report.get("tracing")
     if tracing is not None:
         lines.append("")
@@ -178,36 +132,6 @@ def render_run_report(report: dict) -> str:
 def _quantile_text(value: float | None) -> str:
     """Render a quantile estimate, em-dash when the series is empty."""
     return "—" if value is None else format(float(value), "g")
-
-
-def _fixed_quantile(h: dict, q: float) -> float | None:
-    """Quantile estimate from a fixed-bucket histogram payload.
-
-    The walk finds the bucket holding rank ``ceil(q * n)`` and reports
-    its upper bound clamped into the observed ``[min, max]`` — coarse
-    (bucket-resolution) but honest for hop-count-shaped series.  Returns
-    ``None`` for an empty histogram (the caller renders "—").
-    """
-    count = h.get("count", 0)
-    if not count:
-        return None
-    target = max(1, ceil(q * count))
-    if target >= count and h.get("max") is not None:
-        return h["max"]
-    if target == 1 and h.get("min") is not None:
-        return h["min"]
-    seen = 0
-    value = None
-    for bound, bucket in zip(h["bounds"], h["counts"]):
-        seen += bucket
-        if seen >= target:
-            value = float(bound)
-            break
-    if value is None:  # target rank sits in the overflow bucket
-        value = h["max"] if h["max"] is not None else float(h["bounds"][-1])
-    low = h["min"] if h["min"] is not None else value
-    high = h["max"] if h["max"] is not None else value
-    return min(max(value, low), high)
 
 
 # ----------------------------------------------------------------------
@@ -240,9 +164,9 @@ def openmetrics_from_snapshot(
     """Render a :meth:`MetricsRegistry.snapshot` as OpenMetrics text.
 
     Counters become ``<name>_total`` samples, gauges plain samples, and
-    histograms the standard ``_bucket{le=...}`` / ``_sum`` / ``_count``
-    series with *cumulative* bucket counts (repro's registry keeps
-    per-bucket counts).  The exposition always terminates with ``# EOF``.
+    hdr histograms the standard ``_bucket{le=...}`` / ``_sum`` /
+    ``_count`` series with *cumulative* bucket counts (repro's registry
+    keeps per-bucket counts).  The exposition always terminates with ``# EOF``.
     Shared by both ``repro obs export --format openmetrics`` and the
     live :class:`~repro.obs.sinks.OpenMetricsSink` textfile exporter.
     """
@@ -255,19 +179,6 @@ def openmetrics_from_snapshot(
         om = _openmetrics_name(name, prefix)
         lines.append(f"# TYPE {om} gauge")
         lines.append(f"{om} {_openmetrics_value(payload['value'])}")
-    for name, payload in sorted(snapshot.get("histograms", {}).items()):
-        om = _openmetrics_name(name, prefix)
-        lines.append(f"# TYPE {om} histogram")
-        cumulative = 0
-        for bound, count in zip(payload["bounds"], payload["counts"]):
-            cumulative += count
-            lines.append(
-                f'{om}_bucket{{le="{_openmetrics_value(float(bound))}"}} '
-                f"{cumulative}"
-            )
-        lines.append(f'{om}_bucket{{le="+Inf"}} {payload["count"]}')
-        lines.append(f"{om}_sum {_openmetrics_value(payload['sum'])}")
-        lines.append(f"{om}_count {payload['count']}")
     for name, payload in sorted(snapshot.get("hdr_histograms", {}).items()):
         om = _openmetrics_name(name, prefix)
         hist = HdrHistogram.from_dict(name, payload)

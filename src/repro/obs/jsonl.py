@@ -1,24 +1,44 @@
-"""Append-only JSONL files and the one rule for their tail.
+"""Append-only JSONL files: one encoding, one tail rule, one error rule.
 
-Writers append one flushed line per record (a JSON object), so an
-interrupted write can leave only the *last* line incomplete.  Every
-reader and writer of such a file follows one rule for that line:
+The flight recorder, restoration traces and the checkpoint store all
+keep their records here, one JSON object per line:
+
+- every record is encoded the same way (:func:`encode`: sorted keys,
+  compact separators), so equal records are equal bytes;
+- :func:`append` writes one record and flushes it, so an interrupted
+  write can leave only the *last* line incomplete.
+
+Every reader and writer follows one rule for that line:
 
 - a last line with no newline that parses as JSON is an intact record
   whose newline never reached the disk: it is kept;
 - a last line with no newline that does not parse is a torn record: it
-  is dropped (a writer truncates it before appending).
+  is dropped (a writer truncates it before appending, :func:`seal_tail`).
 
-After that, a record that does not parse anywhere is corruption, not an
-interrupted write.  :class:`~repro.obs.sinks.FlightRecorder` and
-:class:`~repro.experiments.exec.checkpoint.CheckpointStore` both repair
-their file with :func:`seal_tail` before appending.
+After that, a line that does not parse, or parses to something other
+than a JSON object, is corruption, not an interrupted write:
+:func:`read_records` raises the caller's error type naming ``path:line``.
 """
 
 from __future__ import annotations
 
 import json
+import os
 from pathlib import Path
+from typing import IO, Iterator
+
+from repro.errors import ConfigurationError
+
+
+def encode(record: dict) -> str:
+    """The one line encoding of a record (without its newline)."""
+    return json.dumps(record, sort_keys=True, separators=(",", ":"))
+
+
+def append(fh: IO[str], record: dict) -> None:
+    """Write ``record`` as one line of ``fh`` and flush it."""
+    fh.write(encode(record) + "\n")
+    fh.flush()
 
 
 def whole_records(data: bytes) -> bytes:
@@ -45,3 +65,35 @@ def seal_tail(path: Path) -> bytes:
         with path.open("ab") as fh:
             fh.write(b"\n")
     return whole
+
+
+def read_records(
+    path: str | os.PathLike,
+    *,
+    seal: bool = False,
+    what: str = "record",
+    error: type[Exception] = ConfigurationError,
+) -> Iterator[tuple[int, dict]]:
+    """Yield the ``(line number, record)`` pairs of a JSONL file.
+
+    The file is read whole when iteration starts.  Its tail follows the
+    module's rule; ``seal`` also repairs it on disk (:func:`seal_tail`,
+    for a writer about to append), otherwise the file is only read.
+    Blank lines are skipped.  Any other line that is not a JSON object
+    raises ``error("<path>:<line>: corrupt <what>: ...")``.  Records are
+    parsed as they are yielded, so a caller that keeps only what it
+    builds from them never holds every parsed record at once.
+    """
+    path = Path(path)
+    data = seal_tail(path) if seal else whole_records(path.read_bytes())
+    for lineno, raw in enumerate(data.splitlines(), start=1):
+        try:
+            line = raw.decode("utf-8").strip()
+            if not line:
+                continue
+            record = json.loads(line)
+            if not isinstance(record, dict):
+                raise ValueError("not a JSON object")
+        except ValueError as exc:  # also UnicodeDecodeError
+            raise error(f"{path}:{lineno}: corrupt {what}: {exc}") from exc
+        yield lineno, record

@@ -11,8 +11,6 @@ the process boundary) and the parent folds it into its own instance so
   combine bucket-wise (:meth:`MetricsRegistry.merge_snapshot`);
 - span trees accumulate calls/seconds by name
   (:meth:`SpanProfiler.merge_report`);
-- event accounting (recorded/dropped totals) is absorbed without shipping
-  the event records themselves (:meth:`EventLog.absorb_counts`);
 - restoration-trace episodes append and their drop/trim counts **sum**
   (:meth:`~repro.obs.tracing.RestorationTracer.absorb`) — the parent ends
   up with exactly the episode set a serial run would have produced.
@@ -48,11 +46,6 @@ def merge_report_into(obs: "Observability", report: dict) -> None:
     spans = report.get("spans")
     if spans is not None:
         obs.spans.merge_report(spans)
-    events = report.get("events")
-    if events is not None:
-        obs.events.absorb_counts(
-            events.get("recorded", 0), events.get("dropped", 0)
-        )
     tracing = report.get("tracing")
     if tracing is not None:
         tracer = getattr(obs, "tracer", None)

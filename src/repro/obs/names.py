@@ -17,7 +17,7 @@ if it is listed exactly or extends a listed prefix.
 from __future__ import annotations
 
 #: Counter / gauge / histogram names, as passed to
-#: ``obs.counter(...)`` / ``obs.gauge(...)`` / ``obs.histogram(...)``.
+#: ``obs.counter(...)`` / ``obs.gauge(...)`` / ``obs.hdr_histogram(...)``.
 METRIC_NAMES: frozenset[str] = frozenset({
     "cache.routes.batch_inserts",
     "cache.routes.evictions",
@@ -129,7 +129,6 @@ SPAN_NAMES: frozenset[str] = frozenset({
     "smrp.build",
     "smrp.join",
     "smrp.leave",
-    "smrp.recover",
     "smrp.repair",
     "smrp.reshape",
     "sweep.run",

@@ -12,26 +12,17 @@ Everything here is dependency-free and built for two regimes:
 Names are dotted strings (``"sim.engine.events_fired"``); per-message-type
 series append the type as a final segment (``"sim.msg.sent.JoinReq"``).
 
-Two histogram families coexist on purpose:
-
-- :class:`Histogram` — fixed buckets, for small-integer quantities whose
-  interesting edges are known up front (hop counts, §4.3/§4.4);
-- :class:`HdrHistogram` — log-spaced buckets with bounded *relative*
-  error, for latency-shaped metrics spanning orders of magnitude where
-  tail quantiles (p99, p99.9) are the signal.
+Every distribution is one :class:`HdrHistogram`: log-spaced buckets
+with bounded *relative* error for latency-shaped series, where tail
+quantiles (p99, p99.9) are the signal, and exact values for series that
+only ever observe integers (hop counts, §4.3/§4.4).
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from math import ceil, floor, log
-from typing import Sequence
 
 from repro.errors import ConfigurationError
-
-#: Default histogram bucket upper bounds, tuned for hop counts and other
-#: small integer quantities the evaluation reports (§4.3/§4.4).
-DEFAULT_BUCKETS: tuple[float, ...] = (1, 2, 3, 4, 6, 8, 12, 16, 24, 32)
 
 #: Default geometric bucket growth for :class:`HdrHistogram`.  Bucket
 #: ``i`` spans ``[growth**i, growth**(i+1))`` and reports its geometric
@@ -75,46 +66,6 @@ class Gauge:
         return f"Gauge({self.name}={self.value}, hwm={self.high_water})"
 
 
-class Histogram:
-    """Fixed-bucket histogram: ``bounds`` are inclusive upper edges.
-
-    An observation lands in the first bucket whose bound is >= the value;
-    anything beyond the last bound goes to the overflow bucket, so
-    ``len(counts) == len(bounds) + 1`` and no observation is ever lost.
-    """
-
-    __slots__ = ("name", "bounds", "counts", "count", "total", "min", "max")
-
-    def __init__(self, name: str, bounds: Sequence[float] = DEFAULT_BUCKETS) -> None:
-        if not bounds or list(bounds) != sorted(bounds):
-            raise ConfigurationError(
-                f"histogram {name!r} needs ascending non-empty bounds, got {bounds!r}"
-            )
-        self.name = name
-        self.bounds = tuple(float(b) for b in bounds)
-        self.counts = [0] * (len(self.bounds) + 1)
-        self.count = 0
-        self.total = 0.0
-        self.min: float | None = None
-        self.max: float | None = None
-
-    def observe(self, value: float) -> None:
-        self.counts[bisect_left(self.bounds, value)] += 1
-        self.count += 1
-        self.total += value
-        if self.min is None or value < self.min:
-            self.min = value
-        if self.max is None or value > self.max:
-            self.max = value
-
-    @property
-    def mean(self) -> float:
-        return self.total / self.count if self.count else 0.0
-
-    def __repr__(self) -> str:
-        return f"Histogram({self.name}, n={self.count}, mean={self.mean:.3f})"
-
-
 class HdrHistogram:
     """Log-bucketed histogram with bounded relative error (HDR-style).
 
@@ -131,6 +82,14 @@ class HdrHistogram:
     of observation or merge order.  That is what lets sharded runs merge
     worker histograms and still render byte-identical tables.
 
+    While every observation is a Python ``int`` (hop counts), ``integral``
+    stays true and a bucket reports its midpoint rounded to an integer.
+    At the default growth a bucket then reads back exactly the integer it
+    holds for every value up to 57, so such series render exact means and
+    quantiles (above that, the rounding adds at most 0.5 to the midpoint
+    error).  The flag is derived, never chosen: one float observation,
+    or a merge with a non-integral series, clears it for good.
+
     Examples
     --------
     >>> h = HdrHistogram("demo.latency")
@@ -142,11 +101,16 @@ class HdrHistogram:
     1000
     >>> abs(h.quantile(0.5) - 30) / 30 < 0.01
     True
+    >>> hops = HdrHistogram("demo.hops")
+    >>> for v in (1, 1, 2, 3):
+    ...     hops.observe(v)
+    >>> hops.quantile(0.5), hops.mean
+    (1, 1.75)
     """
 
     __slots__ = (
         "name", "growth", "counts", "zero_count", "count", "min", "max",
-        "_log_growth",
+        "integral", "_log_growth",
     )
 
     def __init__(self, name: str, growth: float = DEFAULT_HDR_GROWTH) -> None:
@@ -162,6 +126,7 @@ class HdrHistogram:
         self.count = 0
         self.min: float | None = None
         self.max: float | None = None
+        self.integral = True
 
     def bucket_index(self, value: float) -> int:
         """Index ``i`` with ``growth**i <= value < growth**(i+1)``."""
@@ -176,10 +141,15 @@ class HdrHistogram:
         return index
 
     def bucket_value(self, index: int) -> float:
-        """The bucket's reported representative (geometric midpoint)."""
+        """The bucket's reported representative: its geometric midpoint,
+        rounded to an integer while the series is :attr:`integral`."""
+        if self.integral:
+            return round(self.growth ** (index + 0.5))
         return self.growth ** (index + 0.5)
 
     def observe(self, value: float) -> None:
+        if self.integral and not isinstance(value, int):
+            self.integral = False
         self.count += 1
         if self.min is None or value < self.min:
             self.min = value
@@ -244,6 +214,7 @@ class HdrHistogram:
             "count": self.count,
             "min": self.min,
             "max": self.max,
+            "integral": self.integral,
         }
 
     @classmethod
@@ -253,12 +224,17 @@ class HdrHistogram:
         return hist
 
     def merge_payload(self, payload: dict) -> None:
-        """Fold a :meth:`to_dict` produced elsewhere into this one."""
+        """Fold a :meth:`to_dict` produced elsewhere into this one.
+
+        A payload without the ``integral`` flag (written before the flag
+        existed) counts as non-integral.
+        """
         if float(payload["growth"]) != self.growth:
             raise ConfigurationError(
                 f"hdr histogram {self.name!r}: cannot merge growth "
                 f"{payload['growth']!r} into {self.growth!r}"
             )
+        self.integral = self.integral and bool(payload.get("integral", False))
         for index, count in payload.get("counts", []):
             index = int(index)
             self.counts[index] = self.counts.get(index, 0) + count
@@ -325,7 +301,6 @@ class MetricsRegistry:
         self.enabled = enabled
         self._counters: dict[str, Counter] = {}
         self._gauges: dict[str, Gauge] = {}
-        self._histograms: dict[str, Histogram] = {}
         self._hdr_histograms: dict[str, HdrHistogram] = {}
 
     # ------------------------------------------------------------------
@@ -336,9 +311,7 @@ class MetricsRegistry:
             return _NULL_COUNTER  # type: ignore[return-value]
         instrument = self._counters.get(name)
         if instrument is None:
-            self._check_free(
-                name, self._gauges, self._histograms, self._hdr_histograms
-            )
+            self._check_free(name, self._gauges, self._hdr_histograms)
             instrument = self._counters[name] = Counter(name)
         return instrument
 
@@ -347,27 +320,8 @@ class MetricsRegistry:
             return _NULL_GAUGE  # type: ignore[return-value]
         instrument = self._gauges.get(name)
         if instrument is None:
-            self._check_free(
-                name, self._counters, self._histograms, self._hdr_histograms
-            )
+            self._check_free(name, self._counters, self._hdr_histograms)
             instrument = self._gauges[name] = Gauge(name)
-        return instrument
-
-    def histogram(
-        self, name: str, bounds: Sequence[float] = DEFAULT_BUCKETS
-    ) -> Histogram:
-        if not self.enabled:
-            return _NULL_HISTOGRAM  # type: ignore[return-value]
-        instrument = self._histograms.get(name)
-        if instrument is None:
-            self._check_free(
-                name, self._counters, self._gauges, self._hdr_histograms
-            )
-            instrument = self._histograms[name] = Histogram(name, bounds)
-        elif instrument.bounds != tuple(float(b) for b in bounds):
-            raise ConfigurationError(
-                f"histogram {name!r} re-registered with different bounds"
-            )
         return instrument
 
     def hdr_histogram(
@@ -377,9 +331,7 @@ class MetricsRegistry:
             return _NULL_HISTOGRAM  # type: ignore[return-value]
         instrument = self._hdr_histograms.get(name)
         if instrument is None:
-            self._check_free(
-                name, self._counters, self._gauges, self._histograms
-            )
+            self._check_free(name, self._counters, self._gauges)
             instrument = self._hdr_histograms[name] = HdrHistogram(name, growth)
         elif instrument.growth != float(growth):
             raise ConfigurationError(
@@ -406,9 +358,6 @@ class MetricsRegistry:
         - **counters** — summed;
         - **gauges** — ``value`` takes the incoming reading (merge order
           is the caller's responsibility), ``high_water`` takes the max;
-        - **histograms** — bucket counts, totals, and min/max are
-          combined; bounds must match (:class:`ConfigurationError`
-          otherwise, same rule as re-registration);
         - **hdr histograms** — sparse bucket counts, zero counts, and
           min/max are combined; growth factors must match.  Because
           their sums are derived from bucket counts (never a running
@@ -426,23 +375,6 @@ class MetricsRegistry:
             gauge.set(payload["value"])
             if payload["high_water"] > gauge.high_water:
                 gauge.high_water = payload["high_water"]
-        for name, payload in snapshot.get("histograms", {}).items():
-            hist = self.histogram(name, bounds=payload["bounds"])
-            for i, count in enumerate(payload["counts"]):
-                hist.counts[i] += count
-            hist.count += payload["count"]
-            hist.total += payload["sum"]
-            for attr in ("min", "max"):
-                incoming = payload[attr]
-                if incoming is None:
-                    continue
-                current = getattr(hist, attr)
-                if (
-                    current is None
-                    or (attr == "min" and incoming < current)
-                    or (attr == "max" and incoming > current)
-                ):
-                    setattr(hist, attr, incoming)
         for name, payload in snapshot.get("hdr_histograms", {}).items():
             self.hdr_histogram(name, growth=payload["growth"]).merge_payload(
                 payload
@@ -466,17 +398,6 @@ class MetricsRegistry:
             "gauges": {
                 n: {"value": g.value, "high_water": g.high_water}
                 for n, g in sorted(self._gauges.items())
-            },
-            "histograms": {
-                n: {
-                    "bounds": list(h.bounds),
-                    "counts": list(h.counts),
-                    "count": h.count,
-                    "sum": h.total,
-                    "min": h.min,
-                    "max": h.max,
-                }
-                for n, h in sorted(self._histograms.items())
             },
             "hdr_histograms": {
                 n: h.to_dict() for n, h in sorted(self._hdr_histograms.items())

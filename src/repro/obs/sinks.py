@@ -10,8 +10,8 @@ tables stay byte-identical with every sink enabled:
 - :class:`FlightRecorder` — an append-only NDJSON record of every
   telemetry event (``--telemetry-out``), flushed per record so a killed
   run leaves a usable post-mortem; it and :func:`load_flight_record`
-  treat a torn trailing record by the rule of :mod:`repro.obs.jsonl`,
-  as ``CheckpointStore`` does;
+  write and read through :mod:`repro.obs.jsonl`, as restoration traces
+  and ``CheckpointStore`` do;
 - :class:`OpenMetricsSink` — an OpenMetrics textfile (atomically
   replaced) so external scrapers (node-exporter textfile collector,
   a Prometheus file probe) can watch a run (``--openmetrics-out``).
@@ -22,14 +22,12 @@ tables stay byte-identical with every sink enabled:
 
 from __future__ import annotations
 
-import json
 import os
 import sys
 import time
 from pathlib import Path
 
-from repro.errors import ConfigurationError
-from repro.obs.jsonl import seal_tail, whole_records
+from repro.obs import jsonl
 
 
 class TelemetrySink:
@@ -69,12 +67,11 @@ class FlightRecorder(TelemetrySink):
         self.path = Path(path)
         self.path.parent.mkdir(parents=True, exist_ok=True)
         if self.path.exists():
-            seal_tail(self.path)
+            jsonl.seal_tail(self.path)
         self._fh = self.path.open("a", encoding="utf-8")
 
     def handle(self, record: dict) -> None:
-        self._fh.write(json.dumps(record, sort_keys=True, default=str) + "\n")
-        self._fh.flush()
+        jsonl.append(self._fh, record)
 
     def close(self) -> None:
         if self._fh is not None:
@@ -90,26 +87,13 @@ def load_flight_record(path: str | os.PathLike) -> list[dict]:
 
     A torn trailing record (the run was killed mid-append) is skipped;
     any other malformed record indicates real damage and raises
-    :class:`~repro.errors.ConfigurationError` — the rule of
-    :mod:`repro.obs.jsonl`, shared with the checkpoint store.  The file
-    itself is not modified.
+    :class:`~repro.errors.ConfigurationError` — the rules of
+    :func:`repro.obs.jsonl.read_records`.  The file is not modified.
     """
-    records: list[dict] = []
-    data = whole_records(Path(path).read_bytes())
-    for lineno, raw in enumerate(data.splitlines(), start=1):
-        try:
-            line = raw.decode("utf-8").strip()
-            if not line:
-                continue
-            record = json.loads(line)
-            if not isinstance(record, dict):
-                raise ValueError("record is not an object")
-        except ValueError as exc:  # also UnicodeDecodeError
-            raise ConfigurationError(
-                f"{path}:{lineno}: corrupt flight record: {exc}"
-            ) from exc
-        records.append(record)
-    return records
+    return [
+        record
+        for _, record in jsonl.read_records(path, what="flight record")
+    ]
 
 
 def _describe_record(record: dict) -> str:

@@ -45,11 +45,11 @@ from __future__ import annotations
 
 import json
 import math
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
 from repro.errors import ConfigurationError
+from repro.obs import jsonl
 
 #: Schema marker for trace files (NDJSON and Chrome JSON ``otherData``).
 TRACE_VERSION = 1
@@ -61,7 +61,7 @@ _EPS = 1e-9
 ROOT_PHASE = "episode"
 
 #: Default bound on retained episodes; beyond it new episodes are dropped
-#: (and counted), mirroring the bounded event log.
+#: (and counted).
 DEFAULT_MAX_EPISODES = 100_000
 
 
@@ -405,7 +405,6 @@ class RestorationTracer:
         self.abandoned = 0
         self.scenario_key = ""
         self._seq = 0
-        self._origin = ""
         self._clock: Callable[[], float] | None = None
         self._open: dict[int, _OpenEpisode] = {}
         #: base episode id -> times emitted, for collision renaming when
@@ -429,19 +428,6 @@ class RestorationTracer:
         self._seq += 1
         key = self.scenario_key or "adhoc"
         return f"ep-{key}-{seq:06d}-{strategy}-{member}"
-
-    @contextmanager
-    def origin(self, name: str):
-        """Label episodes opened in this context with ``origin=name``."""
-        previous = self._origin
-        self._origin = name
-        try:
-            yield
-        finally:
-            self._origin = previous
-
-    def current_origin(self, default: str) -> str:
-        return self._origin or default
 
     def bind_clock(self, clock: Callable[[], float]) -> None:
         """Attach a simulated-time source (used by ambient instants)."""
@@ -491,7 +477,7 @@ class RestorationTracer:
             self.scenario_key,
             member,
             strategy,
-            self.current_origin(origin),
+            origin,
             failure,
             start,
         )
@@ -772,11 +758,12 @@ def write_trace_ndjson(
 
     Episodes are sorted by id so the file is byte-identical no matter
     which executor produced them (no wall-clock data is ever written).
-    Returns the number of episodes written.
+    Lines go through :func:`repro.obs.jsonl.append`.  Returns the number
+    of episodes written.
     """
     ordered = sorted(episodes, key=lambda e: e.episode_id)
     with open(path, "w", encoding="utf-8") as fh:
-        header = {
+        jsonl.append(fh, {
             "v": TRACE_VERSION,
             "kind": "trace-header",
             "clock": "sim",
@@ -784,45 +771,41 @@ def write_trace_ndjson(
             "dropped": dropped,
             "trimmed": trimmed,
             "abandoned": abandoned,
-        }
-        fh.write(json.dumps(header, sort_keys=True, separators=(",", ":")))
-        fh.write("\n")
+        })
         for episode in ordered:
-            line = {"v": TRACE_VERSION, "kind": "episode", **episode.to_dict()}
-            fh.write(json.dumps(line, sort_keys=True, separators=(",", ":")))
-            fh.write("\n")
+            jsonl.append(
+                fh, {"v": TRACE_VERSION, "kind": "episode", **episode.to_dict()}
+            )
     return len(ordered)
 
 
 def read_trace_ndjson(path: str) -> TraceFile:
     """Load a trace written by :func:`write_trace_ndjson`.
 
-    Tolerates a missing header (a raw episode-per-line file still loads);
-    unknown line kinds are skipped so the format can grow.
+    Lines are read by :func:`repro.obs.jsonl.read_records`: a torn last
+    line is dropped and any other corrupt line raises
+    :class:`~repro.errors.ConfigurationError`.  When the header declares
+    more episodes than load (a torn last episode, say), that raises too,
+    so a damaged file never shortens an analysis silently.  A file with
+    no header (a raw episode-per-line file) still loads; unknown line
+    kinds are skipped so the format can grow.
     """
     trace = TraceFile(episodes=[])
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            raw = raw.strip()
-            if not raw:
-                continue
-            try:
-                payload = json.loads(raw)
-            except json.JSONDecodeError as exc:
-                raise ConfigurationError(
-                    f"{path}:{lineno}: not valid JSON ({exc})"
-                ) from exc
-            if not isinstance(payload, dict):
-                raise ConfigurationError(
-                    f"{path}:{lineno}: expected a JSON object"
-                )
-            kind = payload.get("kind")
-            if kind == "trace-header":
-                trace.dropped = payload.get("dropped", 0)
-                trace.trimmed = payload.get("trimmed", 0)
-                trace.abandoned = payload.get("abandoned", 0)
-            elif kind == "episode" or ("spans" in payload and "id" in payload):
-                trace.episodes.append(Episode.from_dict(payload))
+    declared = None
+    for _, payload in jsonl.read_records(path, what="trace record"):
+        kind = payload.get("kind")
+        if kind == "trace-header":
+            declared = payload.get("episodes")
+            trace.dropped = payload.get("dropped", 0)
+            trace.trimmed = payload.get("trimmed", 0)
+            trace.abandoned = payload.get("abandoned", 0)
+        elif kind == "episode" or ("spans" in payload and "id" in payload):
+            trace.episodes.append(Episode.from_dict(payload))
+    if declared is not None and len(trace.episodes) < declared:
+        raise ConfigurationError(
+            f"{path}: the header declares {declared} episodes but "
+            f"{len(trace.episodes)} loaded"
+        )
     return trace
 
 
@@ -837,7 +820,7 @@ def chrome_trace_document(episodes: Iterable[Episode]) -> dict:
     as-is into the microsecond ``ts``/``dur`` fields, so 1 sim time unit
     displays as 1 µs in Perfetto.  Span payloads travel in ``args`` and
     the root span's ``args`` carries the full episode header, which is
-    enough to reconstruct episodes (:func:`episodes_from_chrome`).
+    enough to reconstruct the episodes: the export is lossless.
     """
     events: list[dict] = []
     ordered = sorted(episodes, key=lambda e: e.episode_id)
@@ -902,51 +885,3 @@ def write_chrome_trace(episodes: Iterable[Episode], path: str) -> int:
         fh.write("\n")
     return sum(1 for e in document["traceEvents"] if e.get("ph") == "X" and
                e["args"].get("parent") == -1)
-
-
-def episodes_from_chrome(document: dict) -> list[Episode]:
-    """Reconstruct episodes from a :func:`chrome_trace_document` output."""
-    if not isinstance(document, dict) or "traceEvents" not in document:
-        raise ConfigurationError(
-            "not a Chrome trace document (missing 'traceEvents')"
-        )
-    spans_by_episode: dict[str, list[TraceSpan]] = {}
-    headers: dict[str, dict] = {}
-    for event in document["traceEvents"]:
-        if event.get("ph") != "X":
-            continue
-        args = event.get("args", {})
-        eid = args.get("episode")
-        if eid is None:
-            continue
-        span = TraceSpan(
-            span_id=args["span"],
-            parent_id=args["parent"],
-            phase=event["name"],
-            node=args["node"],
-            start=event["ts"],
-            end=event["ts"] + event["dur"],
-            payload=dict(args.get("data", {})),
-        )
-        spans_by_episode.setdefault(eid, []).append(span)
-        if span.parent_id == -1:
-            headers[eid] = args
-    episodes: list[Episode] = []
-    for eid in sorted(spans_by_episode):
-        header = headers.get(eid)
-        if header is None:
-            raise ConfigurationError(
-                f"chrome trace episode {eid!r} has no root span"
-            )
-        spans = sorted(spans_by_episode[eid], key=lambda s: s.span_id)
-        episodes.append(Episode(
-            episode_id=eid,
-            scenario_key=header.get("scenario", ""),
-            member=header.get("member", spans[0].node),
-            strategy=header.get("strategy", ""),
-            origin=header.get("origin", ""),
-            failure=header.get("failure", ""),
-            outcome=header.get("outcome", "restored"),
-            spans=spans,
-        ))
-    return episodes

@@ -482,7 +482,8 @@ class _BaseSimulation:
         self.timers = timers or SimTimers.for_topology(topology)
         self.obs = obs if obs is not None else NULL_OBS
         self.sim = Simulator(obs=obs)
-        self.trace = trace if trace is not None else Trace()
+        #: The caller's trace, or None: without one nothing is recorded.
+        self.trace = trace
         if self.obs.tracer is not None:
             # Restoration episodes and ambient spans (reshape evaluations,
             # candidate searches) read the simulated clock from here on.
@@ -492,7 +493,7 @@ class _BaseSimulation:
         self._c_detections = metrics.counter("sim.recovery.detections")
         self._c_unrecoverable = metrics.counter("sim.recovery.unrecoverable")
         self._c_restored = metrics.counter("sim.recovery.restored")
-        self._h_detour_hops = metrics.histogram("sim.recovery.detour_hops")
+        self._h_detour_hops = metrics.hdr_histogram("sim.recovery.detour_hops")
         self.nodes: dict[NodeId, MulticastSimNode] = {
             node: self.node_class(node, self.network, self)
             for node in topology.nodes()
@@ -606,12 +607,6 @@ class _BaseSimulation:
                         # root at the restoration time; hops still in
                         # flight are trimmed so causality stays valid.
                         self.obs.tracer.close(node, self.sim.now)
-                    self.obs.emit(
-                        "recovery_restored",
-                        node=node,
-                        at=self.sim.now,
-                        latency=record.restoration_latency,
-                    )
 
     def _reaches_source(self, node: NodeId) -> bool:
         """True when the node's upstream chain reaches the source over
@@ -722,12 +717,6 @@ class _BaseSimulation:
                 "repair", detector, self.sim.now,
                 payload={"detour": "-".join(str(n) for n in detour)},
             )
-        self.obs.emit(
-            "recovery_detour",
-            node=detector,
-            at=self.sim.now,
-            hops=len(detour) - 1,
-        )
         node = self.nodes[detector]
         node.force_new_upstream(detour)
 

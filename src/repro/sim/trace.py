@@ -3,6 +3,8 @@
 A :class:`Trace` is an append-only log of timestamped records; tests and
 examples filter it to verify protocol behaviour ("the join reached the
 source", "recovery completed at t=…") without poking at node internals.
+A simulation records into a trace only when its caller passes one
+(``trace=Trace()``); without one, nothing is recorded.
 
 Filtering accepts either keyword equality filters (``category=``,
 ``node=``, ``event=``) or an arbitrary predicate callable over the
@@ -61,7 +63,6 @@ class Trace:
     """Append-only simulation log, optionally bounded (drop-oldest)."""
 
     records: deque[TraceRecord] = field(default_factory=deque)
-    enabled: bool = True
     max_records: int | None = None
     dropped: int = 0
 
@@ -86,37 +87,17 @@ class Trace:
         span_id: int = -1,
         parent_id: int = -1,
     ) -> None:
-        if self.enabled:
-            if (
-                self.max_records is not None
-                and len(self.records) == self.max_records
-            ):
-                self.dropped += 1
-            self.records.append(
-                TraceRecord(
-                    time, category, node, event, detail,
-                    episode_id, span_id, parent_id,
-                )
+        if (
+            self.max_records is not None
+            and len(self.records) == self.max_records
+        ):
+            self.dropped += 1
+        self.records.append(
+            TraceRecord(
+                time, category, node, event, detail,
+                episode_id, span_id, parent_id,
             )
-
-    def merge_from(self, other: "Trace") -> None:
-        """Fold another trace (e.g. a worker's) into this one.
-
-        Records append in call order; drop accounting **sums** — both the
-        records ``other`` had already discarded and any overflow this
-        trace's own bound forces during the merge.  (The historical
-        pattern of copying ``other.dropped`` over ``self.dropped``
-        silently lost this trace's own count: last-write-win instead of
-        a sum.)
-        """
-        self.dropped += other.dropped
-        for rec in other.records:
-            if (
-                self.max_records is not None
-                and len(self.records) == self.max_records
-            ):
-                self.dropped += 1
-            self.records.append(rec)
+        )
 
     def filter(
         self,

@@ -132,10 +132,10 @@ class TestRecoveryIntegration:
         proto = SMRPProtocol(fig4, node_id("S"))
         for m in ("E", "G", "F"):
             proto.join(node_id(m))
-        from repro.core.recovery import worst_case_failure
+        from repro.core.recovery import local_detour_recovery, worst_case_failure
 
         failure = worst_case_failure(proto.tree, node_id("E"))
-        result = proto.recover(node_id("E"), failure)
+        result = local_detour_recovery(fig4, proto.tree, node_id("E"), failure)
         assert result.strategy == "local"
         assert not failure.path_affected(result.restoration_path)
 

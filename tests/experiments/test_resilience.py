@@ -400,6 +400,41 @@ class TestCheckpointStore:
         with pytest.raises(CheckpointError, match="corrupt"):
             CheckpointStore(tmp_path)
 
+    @pytest.mark.parametrize("line", [
+        "[1, 2]",
+        '{"store_version": 1, "key": "k", "result": [1]}',
+    ])
+    def test_record_that_is_not_an_object_is_rejected(self, tmp_path, line):
+        (tmp_path / RESULTS_FILENAME).write_text(line + "\n")
+        with pytest.raises(
+            CheckpointError,
+            match=f"{RESULTS_FILENAME}:1: corrupt checkpoint record",
+        ):
+            CheckpointStore(tmp_path)
+
+    def test_record_bytes_are_unchanged(self, tmp_path):
+        # The bytes the store has always written (sorted keys, compact
+        # separators, one line per record) load, and are what it writes.
+        result = self.make_result()
+        key = result.config.content_key()
+        line = json.dumps(
+            {
+                "store_version": 1,
+                "key": key,
+                "type": "scenario",
+                "config": result.config.describe(),
+                "result": result.to_dict(),
+            },
+            sort_keys=True,
+            separators=(",", ":"),
+        ) + "\n"
+        (tmp_path / "old").mkdir()
+        (tmp_path / "old" / RESULTS_FILENAME).write_text(line)
+        assert CheckpointStore(tmp_path / "old").get(key) == result
+        with CheckpointStore(tmp_path / "new") as store:
+            store.put(key, result)
+        assert (tmp_path / "new" / RESULTS_FILENAME).read_text() == line
+
     def test_unknown_store_version_is_rejected(self, tmp_path):
         path = tmp_path / RESULTS_FILENAME
         path.write_text(

@@ -117,4 +117,11 @@ class TestObservedScenario:
             "scenario.measure",
         ):
             assert spans[name][0] == 1
-        assert len(obs.events) == 1  # the scenario_result event
+        # Every local detour observed its hop count, exactly.
+        hops = obs.metrics.snapshot()["hdr_histograms"]["recovery.local.hops"]
+        assert hops["integral"]
+        assert hops["count"] == (
+            counters["recovery.local.attempts"]
+            - counters.get("recovery.local.already_connected", 0)
+            - counters.get("recovery.local.unrecoverable", 0)
+        )

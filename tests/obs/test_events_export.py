@@ -1,71 +1,17 @@
-"""EventLog JSONL round-trips and run-report build/write/load/render."""
+"""Run reports: build, write, load and render, and version-1 reports."""
 
 import pytest
 
 from repro.errors import ConfigurationError
 from repro.obs import (
-    EventLog,
     Observability,
     build_run_report,
+    diff_run_reports,
     load_run_report,
-    read_jsonl,
+    render_report_diff,
     render_run_report,
     write_run_report,
 )
-from repro.obs.events import load_jsonl
-
-
-class TestEventLog:
-    def test_emit_and_iterate(self):
-        log = EventLog()
-        log.emit("join", node=3, at=1.5)
-        log.emit("leave", node=3)
-        assert len(log) == 2
-        assert list(log) == [
-            {"kind": "join", "node": 3, "at": 1.5},
-            {"kind": "leave", "node": 3},
-        ]
-
-    def test_jsonl_round_trip(self, tmp_path):
-        log = EventLog()
-        log.emit("a", x=1)
-        log.emit("b", y=[1, 2], z="s")
-        assert read_jsonl(log.to_jsonl()) == list(log)
-        path = str(tmp_path / "events.jsonl")
-        log.write_jsonl(path)
-        assert load_jsonl(path) == list(log)
-
-    def test_empty_log_round_trip(self, tmp_path):
-        log = EventLog()
-        assert log.to_jsonl() == ""
-        path = str(tmp_path / "empty.jsonl")
-        log.write_jsonl(path)
-        assert load_jsonl(path) == []
-
-    def test_bounded_drops_oldest(self):
-        log = EventLog(max_records=3)
-        for i in range(5):
-            log.emit("e", i=i)
-        assert len(log) == 3
-        assert log.dropped == 2
-        assert [r["i"] for r in log] == [2, 3, 4]
-
-    def test_disabled_records_nothing(self):
-        log = EventLog(enabled=False)
-        log.emit("e", i=1)
-        assert len(log) == 0
-        assert log.dropped == 0
-
-    def test_rejects_nonpositive_cap(self):
-        with pytest.raises(ConfigurationError):
-            EventLog(max_records=0)
-
-    def test_unbounded_when_cap_is_none(self):
-        log = EventLog(max_records=None)
-        for i in range(10):
-            log.emit("e", i=i)
-        assert len(log) == 10
-        assert log.dropped == 0
 
 
 class TestRunReport:
@@ -73,20 +19,22 @@ class TestRunReport:
         obs = Observability()
         obs.counter("smrp.joins").inc(4)
         obs.gauge("sim.engine.queue_depth").set(7)
-        obs.histogram("recovery.local.hops", bounds=(1, 2, 4)).observe(3)
+        obs.hdr_histogram("recovery.local.hops").observe(3)
         with obs.span("smrp.build"):
             with obs.span("smrp.join"):
                 pass
-        obs.emit("scenario_result", config="demo")
         return obs
 
     def test_build_contains_all_sections(self):
         report = build_run_report(self._populated_obs(), meta={"title": "t"})
-        assert report["version"] == 1
+        assert report["version"] == 2
         assert report["meta"] == {"title": "t"}
         assert report["metrics"]["counters"]["smrp.joins"] == 4
+        assert report["metrics"]["hdr_histograms"]["recovery.local.hops"][
+            "integral"
+        ]
         assert report["spans"]["children"][0]["name"] == "smrp.build"
-        assert report["events"] == {"recorded": 1, "dropped": 0}
+        assert set(report) == {"version", "meta", "metrics", "spans"}
 
     def test_write_load_round_trip(self, tmp_path):
         obs = self._populated_obs()
@@ -107,24 +55,70 @@ class TestRunReport:
         assert "== demo run ==" in text
         assert "smrp.joins" in text and "4" in text
         assert "high-water 7" in text
-        assert "recovery.local.hops: n=1" in text
-        assert "(2, 4]" in text  # the bucket holding the observation
+        assert (
+            "recovery.local.hops: n=1 mean=3.000 min=3 max=3 "
+            "p50=3 p95=3 p99=3"
+        ) in text
         assert "smrp.build: 1 calls" in text
         assert "smrp.join" in text
-        assert "events: 1 recorded, 0 dropped" in text
-
-    def test_render_histogram_overflow_bucket(self):
-        obs = Observability()
-        obs.histogram("h", bounds=(1, 2)).observe(9)
-        text = render_run_report(obs.run_report())
-        assert "> 2" in text
 
     def test_disabled_obs_produces_empty_report(self):
         obs = Observability(enabled=False)
         obs.counter("x").inc()
         with obs.span("y"):
-            obs.emit("z")
+            obs.hdr_histogram("z").observe(1)
         report = obs.run_report()
         assert report["metrics"]["counters"] == {}
+        assert report["metrics"]["hdr_histograms"] == {}
         assert report["spans"]["children"] == []
-        assert report["events"] == {"recorded": 0, "dropped": 0}
+
+
+class TestVersionOneReport:
+    """A report written before version 2 (with its fixed-bucket
+    ``histograms`` and ``events`` sections) still renders and diffs by
+    its counters, gauges, hdr histograms and spans."""
+
+    REPORT = {
+        "version": 1,
+        "meta": {"title": "old run"},
+        "metrics": {
+            "counters": {"smrp.joins": 4},
+            "gauges": {"q": {"value": 2.0, "high_water": 7.0}},
+            "histograms": {
+                "recovery.local.hops": {
+                    "bounds": [1.0, 2.0], "counts": [1, 0, 0], "count": 1,
+                    "sum": 1.0, "min": 1, "max": 1,
+                },
+            },
+            "hdr_histograms": {
+                "dist.latency.smrp": {
+                    "growth": 1.02, "counts": [[0, 2]], "zero_count": 0,
+                    "count": 2, "min": 1.0, "max": 1.01,
+                },
+            },
+        },
+        "spans": {
+            "name": "<root>", "calls": 0, "total_s": 0.0, "self_s": 0.0,
+            "children": [{"name": "smrp.build", "calls": 1, "total_s": 0.5,
+                          "self_s": 0.5, "children": []}],
+        },
+        "events": {"recorded": 9, "dropped": 0},
+    }
+
+    def test_renders_what_version_two_keeps(self):
+        text = render_run_report(self.REPORT)
+        assert "smrp.joins" in text
+        assert "high-water 7" in text
+        assert "dist.latency.smrp: n=2" in text
+        assert "smrp.build: 1 calls" in text
+        assert "recovery.local.hops" not in text
+        assert "events" not in text
+
+    def test_diffs_against_a_version_two_report(self):
+        obs = Observability()
+        obs.counter("smrp.joins").inc(5)
+        diff = diff_run_reports(self.REPORT, obs.run_report())
+        assert diff["counters"]["smrp.joins"] == {"a": 4, "b": 5, "delta": 1}
+        assert set(diff) == {"counters", "spans", "quantiles"}
+        assert "dist.latency.smrp.p50" in diff["quantiles"]
+        assert "events" not in render_report_diff(diff)

@@ -1,8 +1,11 @@
-"""The torn-tail rule for append-only JSONL files."""
+"""Append-only JSONL files: the encoding, the tail rule, the error rule."""
+
+import io
 
 import pytest
 
-from repro.obs.jsonl import seal_tail, whole_records
+from repro.errors import CheckpointError, ConfigurationError
+from repro.obs.jsonl import append, read_records, seal_tail, whole_records
 
 
 @pytest.mark.parametrize(
@@ -26,3 +29,32 @@ def test_seal_tail_rewrites_the_file(tmp_path, tail):
     path = tmp_path / "log.jsonl"
     path.write_bytes(b'{"a":1}\n' + tail)
     assert seal_tail(path) == path.read_bytes() == whole_records(b'{"a":1}\n' + tail)
+
+
+def test_append_writes_one_sorted_compact_line():
+    fh = io.StringIO()
+    append(fh, {"b": [1, 2], "a": "x"})
+    assert fh.getvalue() == '{"a":"x","b":[1,2]}\n'
+
+
+def test_read_records_numbers_lines_and_keeps_the_intact_tail(tmp_path):
+    path = tmp_path / "log.jsonl"
+    path.write_bytes(b'{"a":1}\n\n{"b":2}')
+    assert list(read_records(path)) == [(1, {"a": 1}), (3, {"b": 2})]
+    assert path.read_bytes() == b'{"a":1}\n\n{"b":2}'  # only read
+
+
+def test_read_records_seals_when_asked(tmp_path):
+    path = tmp_path / "log.jsonl"
+    path.write_bytes(b'{"a":1}\n{"b":')
+    assert list(read_records(path, seal=True)) == [(1, {"a": 1})]
+    assert path.read_bytes() == b'{"a":1}\n'
+
+
+@pytest.mark.parametrize("line", [b"[1, 2]", b"not json", b'"text"'])
+@pytest.mark.parametrize("error", [ConfigurationError, CheckpointError])
+def test_read_records_names_the_corrupt_line(tmp_path, line, error):
+    path = tmp_path / "log.jsonl"
+    path.write_bytes(b'{"a":1}\n' + line + b'\n{"b":2}\n')
+    with pytest.raises(error, match=r"log\.jsonl:2: corrupt entry: "):
+        list(read_records(path, what="entry", error=error))

@@ -292,18 +292,24 @@ class TestOpenMetrics:
         registry = MetricsRegistry()
         registry.counter("smrp.joins").inc(3)
         registry.gauge("exec.jobs").set(4)
-        hist = registry.histogram("recovery.latency", (1.0, 5.0))
-        for value in (0.5, 0.7, 3.0, 99.0):
+        hist = registry.hdr_histogram("recovery.latency")
+        for value in (0.0, 0.5, 0.5, 3.0, 99.0):
             hist.observe(value)
         text = openmetrics_from_snapshot(registry.snapshot())
         assert "# TYPE repro_smrp_joins counter" in text
         assert "repro_smrp_joins_total 3" in text
         assert "repro_exec_jobs 4" in text
-        # Buckets are cumulative: 2 under 1.0, 3 under 5.0, 4 total.
-        assert 'repro_recovery_latency_bucket{le="1"} 2' in text
-        assert 'repro_recovery_latency_bucket{le="5"} 3' in text
-        assert 'repro_recovery_latency_bucket{le="+Inf"} 4' in text
-        assert "repro_recovery_latency_count 4" in text
+        assert "# TYPE repro_recovery_latency histogram" in text
+        # Buckets are cumulative, from the zero bucket up to +Inf.
+        buckets = [
+            line.rsplit(" ", 1)
+            for line in text.splitlines()
+            if line.startswith("repro_recovery_latency_bucket")
+        ]
+        assert [int(count) for _, count in buckets] == [1, 3, 4, 5, 5]
+        assert buckets[0][0] == 'repro_recovery_latency_bucket{le="0"}'
+        assert buckets[-1][0] == 'repro_recovery_latency_bucket{le="+Inf"}'
+        assert "repro_recovery_latency_count 5" in text
         assert text.endswith("# EOF\n")
 
     def test_name_sanitization(self):
@@ -346,14 +352,14 @@ class TestOpenMetrics:
 class TestEmptyRunGuards:
     def test_histogram_mean_guarded_on_zero_observations(self):
         registry = MetricsRegistry()
-        hist = registry.histogram("empty.hist", (1.0,))
+        hist = registry.hdr_histogram("empty.hist")
         assert hist.mean == 0.0
 
     def test_render_run_report_with_empty_histogram(self):
         obs = Observability()
-        obs.histogram("empty.hist", (1.0,))  # registered, never observed
+        obs.hdr_histogram("empty.hist")  # registered, never observed
         text = render_run_report(build_run_report(obs))
-        assert "empty.hist: n=0 mean=0.000 min=— max=—" in text
+        assert "empty.hist: n=0 mean=0.000 min=— max=— p50=— p95=— p99=—" in text
 
     def test_render_run_report_on_fresh_obs(self):
         # A run that recorded nothing still renders (no division, no None).

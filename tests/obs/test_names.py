@@ -20,7 +20,7 @@ TESTS = Path(__file__).resolve().parents[1]
 #: ``obs.counter("...")`` / bare ``gauge("...")`` (live.py binds the
 #: method to a local) / f-string dynamic names.
 _METRIC = re.compile(
-    r'\b(?:counter|gauge|hdr_histogram|histogram)\(\s*(f?)"([^"]*)"'
+    r'\b(?:counter|gauge|hdr_histogram)\(\s*(f?)"([^"]*)"'
 )
 _SPAN = re.compile(r'\.span\(\s*(f?)"([^"]*)"')
 #: Episode span-tree emission sites (repro.obs.tracing handles).

@@ -3,7 +3,13 @@
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.obs import DEFAULT_BUCKETS, Histogram, MetricsRegistry
+from repro.obs import (
+    DEFAULT_HDR_GROWTH,
+    HdrHistogram,
+    MetricsRegistry,
+    Observability,
+    render_run_report,
+)
 from repro.obs.registry import _NULL_COUNTER, _NULL_GAUGE, _NULL_HISTOGRAM
 
 
@@ -41,34 +47,71 @@ class TestGauge:
         assert g.high_water == 10
 
 
-class TestHistogram:
-    def test_bucket_edges_are_inclusive_upper_bounds(self):
-        h = Histogram("hops", bounds=(1, 2, 4))
-        for v in [1, 1, 2, 3, 4, 5, 100]:
-            h.observe(v)
-        # counts: <=1, (1,2], (2,4], overflow
-        assert h.counts == [2, 1, 2, 2]
-        assert h.count == 7
-        assert h.min == 1
-        assert h.max == 100
-        assert h.mean == pytest.approx(116 / 7)
+class TestIntegralHdrHistogram:
+    """Integer series (hop counts) read back exactly from the one
+    histogram family."""
 
-    def test_rejects_bad_bounds(self):
-        with pytest.raises(ConfigurationError):
-            Histogram("h", bounds=())
-        with pytest.raises(ConfigurationError):
-            Histogram("h", bounds=(3, 1, 2))
+    def test_one_hop_series_renders_exactly(self):
+        obs = Observability()
+        hops = obs.hdr_histogram("recovery.local.hops")
+        for _ in range(1000):
+            hops.observe(1)
+        text = render_run_report(obs.run_report())
+        assert (
+            "recovery.local.hops: n=1000 mean=1.000 min=1 max=1 "
+            "p50=1 p95=1 p99=1"
+        ) in text
 
-    def test_reregistration_with_different_bounds_rejected(self):
+    @pytest.mark.parametrize("value", range(1, 58))
+    def test_integers_up_to_57_read_back_exactly(self, value):
+        h = HdrHistogram("hops")
+        h.observe(value)
+        (index,) = h.counts
+        assert h.bucket_value(index) == value
+        h.observe(value)
+        h.observe(value)
+        assert h.quantile(0.5) == value and h.mean == value
+
+    def test_first_integer_that_shares_a_bucket_is_58(self):
+        h = HdrHistogram("hops")
+        assert h.bucket_value(h.bucket_index(58)) != 58
+
+    def test_zero_goes_to_the_zero_bucket(self):
+        h = HdrHistogram("hops")
+        for value in (0, 0, 3):
+            h.observe(value)
+        assert h.zero_count == 2 and h.integral
+        assert h.quantile(0.5) == 0
+
+    def test_one_float_clears_the_flag(self):
+        h = HdrHistogram("latency")
+        h.observe(2)
+        assert h.integral
+        h.observe(2.0)
+        assert not h.integral
+        assert h.mean == pytest.approx(DEFAULT_HDR_GROWTH ** 35.5)
+
+    def test_merging_integer_and_float_series_is_not_integral(self):
+        ints, floats = HdrHistogram("h"), HdrHistogram("h")
+        ints.observe(3)
+        floats.observe(3.5)
+        ints.merge(floats)
+        assert not ints.integral
+        back = HdrHistogram.from_dict("h", ints.to_dict())
+        assert not back.integral
+
+    def test_payload_without_the_flag_loads_as_non_integral(self):
+        h = HdrHistogram("hops")
+        h.observe(2)
+        payload = h.to_dict()
+        assert payload.pop("integral") is True
+        assert not HdrHistogram.from_dict("hops", payload).integral
+
+    def test_reregistration_with_different_growth_rejected(self):
         reg = MetricsRegistry()
-        reg.histogram("h", bounds=(1, 2))
-        assert reg.histogram("h", bounds=(1, 2)) is reg.histogram("h", bounds=(1, 2))
+        assert reg.hdr_histogram("h") is reg.hdr_histogram("h")
         with pytest.raises(ConfigurationError):
-            reg.histogram("h", bounds=(1, 2, 3))
-
-    def test_default_buckets(self):
-        h = MetricsRegistry().histogram("h")
-        assert h.bounds == tuple(float(b) for b in DEFAULT_BUCKETS)
+            reg.hdr_histogram("h", growth=1.5)
 
 
 class TestNameCollisions:
@@ -78,7 +121,7 @@ class TestNameCollisions:
         with pytest.raises(ConfigurationError):
             reg.gauge("x")
         with pytest.raises(ConfigurationError):
-            reg.histogram("x")
+            reg.hdr_histogram("x")
         reg.gauge("y")
         with pytest.raises(ConfigurationError):
             reg.counter("y")
@@ -89,20 +132,17 @@ class TestDisabled:
         reg = MetricsRegistry(enabled=False)
         assert reg.counter("a") is _NULL_COUNTER
         assert reg.gauge("b") is _NULL_GAUGE
-        assert reg.histogram("c") is _NULL_HISTOGRAM
         assert reg.hdr_histogram("d") is _NULL_HISTOGRAM
 
     def test_noop_instruments_record_nothing(self):
         reg = MetricsRegistry(enabled=False)
         reg.counter("a").inc(10)
         reg.gauge("b").set(5)
-        reg.histogram("c").observe(1)
         reg.hdr_histogram("d").observe(2)
         snap = reg.snapshot()
         assert snap == {
             "counters": {},
             "gauges": {},
-            "histograms": {},
             "hdr_histograms": {},
         }
 
@@ -114,10 +154,10 @@ class TestSnapshot:
         reg = MetricsRegistry()
         reg.counter("c").inc(2)
         reg.gauge("g").set(1.5)
-        reg.histogram("h", bounds=(1, 2)).observe(2)
+        reg.hdr_histogram("h").observe(2)
         snap = reg.snapshot()
         assert snap["counters"] == {"c": 2}
         assert snap["gauges"]["g"] == {"value": 1.5, "high_water": 1.5}
-        assert snap["histograms"]["h"]["counts"] == [0, 1, 0]
-        assert snap["histograms"]["h"]["sum"] == 2.0
+        assert snap["hdr_histograms"]["h"]["count"] == 1
+        assert snap["hdr_histograms"]["h"]["integral"] is True
         json.dumps(snap)  # must be serializable as-is

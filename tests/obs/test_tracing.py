@@ -30,7 +30,6 @@ from repro.obs.tracing import (
     TraceSpan,
     chrome_trace_document,
     critical_path,
-    episodes_from_chrome,
     read_trace_ndjson,
     validate_episode,
     write_trace_ndjson,
@@ -39,6 +38,7 @@ from repro.routing.failure_view import FailureSet
 from repro.routing.link_state import ConvergenceModel
 from repro.sim.failures import FailureSchedule
 from repro.sim.protocols import SmrpSimulation
+from tests.obs.chrome_oracle import episodes_from_chrome
 
 
 def _episode(outcome: str = "restored") -> Episode:
@@ -593,6 +593,27 @@ class TestRoundTrips:
         path = tmp_path / "bad.ndjson"
         path.write_text("not json\n")
         with pytest.raises(ConfigurationError):
+            read_trace_ndjson(str(path))
+
+    def test_ndjson_rejects_a_record_that_is_not_an_object(self, tmp_path):
+        path = tmp_path / "list.ndjson"
+        path.write_text("[1, 2]\n")
+        with pytest.raises(ConfigurationError, match="list.ndjson:1: corrupt"):
+            read_trace_ndjson(str(path))
+
+    def test_ndjson_torn_last_episode_raises_the_header_count(self, tmp_path):
+        first, second = _episode(), _episode()
+        second.episode_id = "ep-test-000001-local-7"
+        for ep in (first, second):
+            ep.close(5.0)
+        path = tmp_path / "torn.ndjson"
+        write_trace_ndjson([first, second], str(path))
+        data = path.read_bytes()
+        last = data.rstrip(b"\n").rfind(b"\n") + 1
+        path.write_bytes(data[: last + 20])  # killed mid-append
+        with pytest.raises(
+            ConfigurationError, match="declares 2 episodes but 1 loaded"
+        ):
             read_trace_ndjson(str(path))
 
     def test_ndjson_tolerates_missing_header(self, tmp_path):

@@ -8,7 +8,10 @@ The contracts the rest of the repo leans on:
 - **Order independence**: merge is commutative and associative, and the
   same observations in any order (or split across any sharding) produce
   the *identical* histogram — that is what makes sharded figure tables
-  byte-identical to serial ones.
+  byte-identical to serial ones.  The ``integral`` flag is part of that
+  state: it holds exactly when every observation was an ``int``.
+- **Integer exactness**: an integral series of values up to 57 reports
+  every quantile and its total exactly.
 - **Serialization**: ``to_dict``/``from_dict`` round-trips exactly, and
   run-report merging via ``repro.obs.merge`` preserves every value.
 """
@@ -32,6 +35,12 @@ values = st.one_of(
     st.integers(min_value=0, max_value=10**6).map(float),
 )
 samples = st.lists(values, min_size=1, max_size=200)
+#: Hop-count-shaped series: all integers, or integers mixed with floats.
+integers = st.integers(min_value=0, max_value=200)
+mixed_samples = st.one_of(
+    st.lists(integers, min_size=1, max_size=200),
+    st.lists(st.one_of(values, integers), min_size=1, max_size=200),
+)
 
 #: Worst-case relative error of a bucket midpoint, with float slack.
 TOLERANCE = (DEFAULT_HDR_GROWTH ** 0.5 - 1) * 1.01 + 1e-12
@@ -55,7 +64,7 @@ def as_state(h: HdrHistogram) -> tuple:
     """Full observable state, for exact-equality comparisons."""
     return (
         h.growth, sorted(h.counts.items()), h.zero_count, h.count,
-        h.min, h.max, h.total, h.mean,
+        h.min, h.max, h.total, h.mean, h.integral,
     )
 
 
@@ -95,7 +104,7 @@ class TestQuantileAccuracy:
 
 class TestMergeAlgebra:
     @settings(max_examples=60, deadline=None)
-    @given(samples, samples)
+    @given(mixed_samples, mixed_samples)
     def test_merge_is_commutative(self, a_vals, b_vals):
         ab = build(a_vals)
         ab.merge(build(b_vals))
@@ -104,7 +113,7 @@ class TestMergeAlgebra:
         assert as_state(ab) == as_state(ba)
 
     @settings(max_examples=40, deadline=None)
-    @given(samples, samples, samples)
+    @given(mixed_samples, mixed_samples, mixed_samples)
     def test_merge_is_associative(self, a_vals, b_vals, c_vals):
         left = build(a_vals)
         left.merge(build(b_vals))
@@ -116,7 +125,7 @@ class TestMergeAlgebra:
         assert as_state(left) == as_state(right)
 
     @settings(max_examples=60, deadline=None)
-    @given(samples, st.integers(min_value=1, max_value=8))
+    @given(mixed_samples, st.integers(min_value=1, max_value=8))
     def test_sharded_merge_equals_serial(self, vals, shards):
         """Any sharding of the observations merges back to the serial
         histogram exactly — the byte-identity invariant."""
@@ -128,9 +137,37 @@ class TestMergeAlgebra:
         assert serial.to_dict() == merged.to_dict()
 
 
+    @settings(max_examples=60, deadline=None)
+    @given(mixed_samples, st.integers(min_value=1, max_value=8), st.randoms())
+    def test_integral_flag_is_order_free(self, vals, shards, rnd):
+        """Shards merged in any order agree with the serial histogram,
+        and are integral exactly when every observation was an int."""
+        parts = [build(vals[i::shards]) for i in range(shards)]
+        rnd.shuffle(parts)
+        merged = HdrHistogram("t.h")
+        for part in parts:
+            merged.merge(part)
+        assert merged.integral == all(isinstance(v, int) for v in vals)
+        assert as_state(merged) == as_state(build(vals))
+
+
+class TestIntegerExactness:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.lists(st.integers(min_value=0, max_value=57), min_size=1,
+                 max_size=200),
+        st.floats(min_value=0.0, max_value=1.0),
+    )
+    def test_small_integer_series_are_exact(self, vals, q):
+        h = build(vals)
+        assert h.integral
+        assert h.quantile(q) == exact_quantile(vals, q)
+        assert h.total == sum(vals)
+
+
 class TestSerialization:
     @settings(max_examples=60, deadline=None)
-    @given(samples)
+    @given(mixed_samples)
     def test_round_trip_is_exact(self, vals):
         h = build(vals)
         payload = json.loads(json.dumps(h.to_dict()))

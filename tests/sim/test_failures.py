@@ -3,9 +3,11 @@
 import pytest
 
 from repro.errors import ConfigurationError
+from repro.graph.generators import node_id
 from repro.sim.engine import Simulator
 from repro.sim.failures import FailureSchedule
 from repro.sim.network import SimNetwork
+from repro.sim.protocols import SmrpSimulation
 from repro.sim.trace import Trace
 
 
@@ -90,10 +92,13 @@ class TestTrace:
         assert trace.first(node=5, category="failure").event == "detected"
         assert trace.first(category="leave") is None
 
-    def test_disabled_trace_records_nothing(self):
-        trace = Trace(enabled=False)
-        trace.record(1.0, "join", 5, "request")
-        assert len(trace) == 0
+    def test_disabled_trace_records_nothing(self, fig4):
+        # Tracing is off unless the caller passes a trace: nothing is kept.
+        sim = SmrpSimulation(fig4, node_id("S"))
+        assert sim.trace is None and sim.network.trace is None
+        sim.schedule_join(10.0, node_id("E"))
+        sim.run(until=60.0)
+        assert sim.join_records[node_id("E")].latency is not None
 
     def test_dump_renders_lines(self):
         trace = Trace()

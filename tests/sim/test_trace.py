@@ -78,62 +78,6 @@ class TestBounded:
         assert t.dropped == 1
         assert [r.node for r in t.records] == [1, 2]
 
-    def test_disabled_trace_never_drops(self):
-        t = Trace(enabled=False, max_records=1)
-        t.record(1.0, "c", 0, "e")
-        t.record(2.0, "c", 1, "e")
-        assert len(t) == 0
-        assert t.dropped == 0
-
-
-class TestMergeFrom:
-    """Drop accounting must SUM across worker merges, not last-write-win."""
-
-    def _bounded_worker(self, cap: int, n: int, node_base: int) -> Trace:
-        t = Trace(max_records=cap)
-        for i in range(n):
-            t.record(float(i), "c", node_base + i, "e")
-        return t
-
-    def test_dropped_counts_sum_across_workers(self):
-        parent = Trace()
-        parent.merge_from(self._bounded_worker(cap=2, n=5, node_base=0))
-        parent.merge_from(self._bounded_worker(cap=2, n=4, node_base=10))
-        # worker 1 dropped 3, worker 2 dropped 2; the historical
-        # last-write-win merge reported 2 here.
-        assert parent.dropped == 5
-        assert len(parent) == 4
-
-    def test_merge_overflow_counts_against_parent_bound(self):
-        parent = Trace(max_records=3)
-        parent.record(0.0, "c", 0, "e")
-        worker = self._bounded_worker(cap=4, n=4, node_base=10)
-        parent.merge_from(worker)
-        assert len(parent) == 3
-        # 0 from the worker's own losses + 2 forced out by the parent cap.
-        assert parent.dropped == 2
-
-    def test_merge_sums_own_and_incoming_drops(self):
-        parent = Trace(max_records=2)
-        for i in range(3):
-            parent.record(float(i), "c", i, "e")
-        assert parent.dropped == 1
-        worker = self._bounded_worker(cap=1, n=3, node_base=10)
-        assert worker.dropped == 2
-        parent.merge_from(worker)
-        # 1 (parent's own) + 2 (worker's) + 1 (overflow during merge).
-        assert parent.dropped == 4
-        assert len(parent) == 2
-
-    def test_merge_preserves_record_order(self):
-        parent = Trace()
-        parent.record(1.0, "c", 0, "e")
-        worker = Trace()
-        worker.record(2.0, "c", 1, "e")
-        worker.record(3.0, "c", 2, "e")
-        parent.merge_from(worker)
-        assert [r.node for r in parent.records] == [0, 1, 2]
-
 
 class TestDump:
     def test_dump_limit_on_bounded_trace(self):
