@@ -212,8 +212,7 @@ def bench_figures_quick(repeats: int) -> dict:
     for _ in range(repeats):
         start = time.perf_counter()
         subprocess.run(
-            [sys.executable, "-m", "repro", "figures", "--quick",
-             "--executor", "serial"],
+            [sys.executable, "-m", "repro", "figures", "--quick"],
             check=True,
             env=env,
             cwd=REPO_ROOT,
@@ -221,7 +220,7 @@ def bench_figures_quick(repeats: int) -> dict:
         )
         runs.append(round(time.perf_counter() - start, 2))
     return {
-        "command": "python -m repro figures --quick --executor serial",
+        "command": "python -m repro figures --quick",
         "runs_s": runs,
         "best_s": min(runs),
         "pre_csr_baseline_s": 15.39,  # BENCH_exec.json serial best

@@ -9,21 +9,21 @@ Paper claims asserted here:
   mean everyone already has close neighbors).
 """
 
-from repro.experiments.fig10 import DEFAULT_GROUP_SIZES, run_figure10
+from repro.experiments.figsweep import FIGURE_10
 
 
 def test_figure10_group_size_effect(benchmark, grid):
     topologies, member_sets = grid
     result = benchmark.pedantic(
-        lambda: run_figure10(topologies=topologies, member_sets=member_sets),
+        lambda: FIGURE_10.run(topologies=topologies, member_sets=member_sets),
         rounds=1,
         iterations=1,
     )
     print()
     print(result.render())
 
-    rd = [result.point(g).rd_relative.mean for g in DEFAULT_GROUP_SIZES]
-    delay = [result.point(g).delay_relative.mean for g in DEFAULT_GROUP_SIZES]
+    rd = [result.point(g).rd_relative.mean for g in FIGURE_10.values]
+    delay = [result.point(g).delay_relative.mean for g in FIGURE_10.values]
 
     # Steady positive improvement at every group size.
     assert all(r > 0.08 for r in rd)

@@ -10,22 +10,22 @@ Paper claims asserted here:
   the delay penalty stays moderate (paper ≈5%).
 """
 
-from repro.experiments.fig8 import DEFAULT_DTHRESH_VALUES, run_figure8
+from repro.experiments.figsweep import FIGURE_8
 
 
 def test_figure8_dthresh_tradeoff(benchmark, grid):
     topologies, member_sets = grid
     result = benchmark.pedantic(
-        lambda: run_figure8(topologies=topologies, member_sets=member_sets),
+        lambda: FIGURE_8.run(topologies=topologies, member_sets=member_sets),
         rounds=1,
         iterations=1,
     )
     print()
     print(result.render())
 
-    rd = [result.point(d).rd_relative.mean for d in DEFAULT_DTHRESH_VALUES]
-    delay = [result.point(d).delay_relative.mean for d in DEFAULT_DTHRESH_VALUES]
-    cost = [result.point(d).cost_relative.mean for d in DEFAULT_DTHRESH_VALUES]
+    rd = [result.point(d).rd_relative.mean for d in FIGURE_8.values]
+    delay = [result.point(d).delay_relative.mean for d in FIGURE_8.values]
+    cost = [result.point(d).cost_relative.mean for d in FIGURE_8.values]
 
     # Improvement grows with D_thresh end to end (monotone up to noise:
     # compare the extremes, and require no large inversion in between).
@@ -44,5 +44,5 @@ def test_figure8_dthresh_tradeoff(benchmark, grid):
     assert 0.0 <= headline.cost_relative.mean < 0.35
 
     # Delay penalty can never exceed what the bound allows.
-    for d in DEFAULT_DTHRESH_VALUES:
+    for d in FIGURE_8.values:
         assert result.point(d).delay_relative.mean <= d + 1e-9

@@ -10,22 +10,24 @@ Paper claims asserted here:
   average degree 10).
 """
 
-from repro.experiments.fig9 import DEFAULT_ALPHA_VALUES, run_figure9
+from repro.experiments.exec.spec import ExperimentSpec
+from repro.experiments.figsweep import FIGURE_9
+from repro.experiments.sweeps import run_spec_sweep
 
 
 def test_figure9_degree_effect(benchmark, grid):
     topologies, member_sets = grid
     result = benchmark.pedantic(
-        lambda: run_figure9(topologies=topologies, member_sets=member_sets),
+        lambda: FIGURE_9.run(topologies=topologies, member_sets=member_sets),
         rounds=1,
         iterations=1,
     )
     print()
     print(result.render())
 
-    degrees = [result.point(a).average_degree for a in DEFAULT_ALPHA_VALUES]
-    rd = [result.point(a).rd_relative.mean for a in DEFAULT_ALPHA_VALUES]
-    delay = [result.point(a).delay_relative.mean for a in DEFAULT_ALPHA_VALUES]
+    degrees = [result.point(a).average_degree for a in FIGURE_9.values]
+    rd = [result.point(a).rd_relative.mean for a in FIGURE_9.values]
+    delay = [result.point(a).delay_relative.mean for a in FIGURE_9.values]
 
     # The α knob controls the degree, monotonically.
     assert degrees == sorted(degrees)
@@ -50,16 +52,16 @@ def test_figure9_high_degree_extension(benchmark):
     """The paper's follow-up: at average degree ≈10 the reduction is
     still ≈12%.  Reproduced with a dense α and the degree-calibration
     helper's neighborhood."""
-    from repro.experiments.scenario import ScenarioConfig
-    from repro.experiments.sweeps import run_sweep
+    spec = ExperimentSpec(
+        beta=0.5,  # denser β regime
+        sweep_parameter="alpha",
+        sweep_values=(0.25,),
+        topologies=4,
+        member_sets=2,
+    )
 
     def run():
-        return run_sweep(
-            lambda a: ScenarioConfig(alpha=a, beta=0.5),  # denser β regime
-            values=[0.25],
-            topologies=4,
-            member_sets=2,
-        )[0]
+        return run_spec_sweep(spec)[0]
 
     point = benchmark.pedantic(run, rounds=1, iterations=1)
     print(

@@ -168,8 +168,7 @@ def test_flight_recorder_is_observe_only(workdir):
 
 
 def test_profile_is_observe_only(workdir):
-    result = repro("distribution", "--quick", "--executor", "serial",
-                   "--profile")
+    result = repro("distribution", "--quick", "--profile")
     (workdir("profile") / "stderr.txt").write_text(result.stderr)
     assert result.stdout == golden("distribution_quick")
     assert "self-time profile" in result.stderr
@@ -177,7 +176,7 @@ def test_profile_is_observe_only(workdir):
 
 def test_trace_is_observe_only_and_executor_independent(workdir):
     out = workdir("trace")
-    serial = repro("figures", "--quick", "--executor", "serial",
+    serial = repro("figures", "--quick",
                    "--trace-out", str(out / "serial.ndjson"))
     pooled = repro("figures", "--quick", "--jobs", "2", "--timeout", "300",
                    "--retries", "3", "--trace-out", str(out / "pool.ndjson"))

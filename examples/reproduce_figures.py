@@ -14,9 +14,7 @@ import argparse
 import time
 
 from repro.experiments.fig7 import run_figure7
-from repro.experiments.fig8 import run_figure8
-from repro.experiments.fig9 import run_figure9
-from repro.experiments.fig10 import run_figure10
+from repro.experiments.figsweep import FIGURE_8, FIGURE_9, FIGURE_10
 
 
 def main() -> None:
@@ -37,9 +35,9 @@ def main() -> None:
 
     figures = {
         7: lambda: run_figure7(topologies=5),
-        8: lambda: run_figure8(topologies=topologies, member_sets=member_sets),
-        9: lambda: run_figure9(topologies=topologies, member_sets=member_sets),
-        10: lambda: run_figure10(topologies=topologies, member_sets=member_sets),
+        8: lambda: FIGURE_8.run(topologies=topologies, member_sets=member_sets),
+        9: lambda: FIGURE_9.run(topologies=topologies, member_sets=member_sets),
+        10: lambda: FIGURE_10.run(topologies=topologies, member_sets=member_sets),
     }
     titles = {
         7: "local detour vs. global detour (N=100, N_G=30, α=0.2, D_thresh=0.3)",

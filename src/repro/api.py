@@ -2,7 +2,7 @@
 
 This facade is the supported entry point for using the reproduction
 programmatically; the CLI is a thin wrapper over it, and the deep module
-paths (``repro.experiments.fig8``, ``repro.controller.service``, …)
+paths (``repro.experiments.figsweep``, ``repro.controller.service``, …)
 remain available for fine-grained access.
 
 The surface is **session-oriented**: :func:`open_session` builds a
@@ -31,8 +31,8 @@ results merged deterministically in input order, so parallel runs are
 byte-identical to serial ones.  A ``policy`` (:class:`ExecPolicy`) sets
 the pool's per-unit timeouts, retries and checkpoint/resume (and implies
 the pool on its own); the byte-identical guarantee holds even when
-workers crash or hang mid-batch.  The combination rules live in one
-place, :func:`resolve_executor`, shared with the CLI.
+workers crash or hang mid-batch.  :func:`make_executor` makes that
+choice; the CLI opens its sessions the same way.
 
 ``__all__`` below is the documented public surface; anything not listed
 is an implementation detail.
@@ -65,7 +65,6 @@ from repro.experiments.exec.executor import (
     ParallelExecutor,
     SerialExecutor,
     make_executor,
-    resolve_executor,
 )
 from repro.experiments.exec.resilience import ExecPolicy
 from repro.experiments.exec.spec import ExperimentSpec
@@ -93,22 +92,21 @@ __all__ = [
     "SweepPoint",
     "make_executor",
     "open_session",
-    "resolve_executor",
 ]
 
 #: The 4×2 seeding grid per sweep point of the scenario-grid figures.
 _QUICK_GRID = {"topologies": 4, "member_sets": 2}
 
-#: Figure driver registry: canonical name -> (module, runner attribute,
-#: quick preset).  A driver's defaults are the full run; the quick preset
-#: is the reduced run behind ``build_figure(..., quick=True)`` and every
-#: CLI ``--quick``.  Figure 7 is already small: its quick run is the full
-#: one.
+#: Figure driver registry: canonical name -> (module, runner attribute
+#: path, quick preset).  A driver's defaults are the full run; the quick
+#: preset is the reduced run behind ``build_figure(..., quick=True)`` and
+#: every CLI ``--quick``.  Figure 7 is already small: its quick run is
+#: the full one.
 _FIGURES = {
     "fig7": ("repro.experiments.fig7", "run_figure7", {}),
-    "fig8": ("repro.experiments.fig8", "run_figure8", _QUICK_GRID),
-    "fig9": ("repro.experiments.fig9", "run_figure9", _QUICK_GRID),
-    "fig10": ("repro.experiments.fig10", "run_figure10", _QUICK_GRID),
+    "fig8": ("repro.experiments.figsweep", "FIGURE_8.run", _QUICK_GRID),
+    "fig9": ("repro.experiments.figsweep", "FIGURE_9.run", _QUICK_GRID),
+    "fig10": ("repro.experiments.figsweep", "FIGURE_10.run", _QUICK_GRID),
     "protection": (
         "repro.experiments.figprotect",
         "run_protection_figure",
@@ -152,8 +150,9 @@ class Session:
         Optional default :class:`ServiceSpec`; provides the topology,
         protocol, and :meth:`run_service` defaults.
     executor, jobs, policy, telemetry:
-        Execution selection, reconciled by :func:`resolve_executor` —
-        identical rules and message text as the CLI.
+        Execution selection.  A ready ``executor`` comes alone and stays
+        the caller's; otherwise :func:`make_executor` builds one from
+        ``jobs``, ``policy`` and ``telemetry``, and the session closes it.
     cache:
         Substrate cache for topologies and SPF state.  Omitted → the
         session builds its own; explicitly ``None`` → verbs run
@@ -177,9 +176,23 @@ class Session:
         cache=_UNSET_CACHE,
         obs=None,
     ) -> None:
-        self.executor, self._owned = resolve_executor(
-            executor=executor, jobs=jobs, policy=policy, telemetry=telemetry
-        )
+        self._owns_executor = executor is None
+        if self._owns_executor:
+            executor = make_executor(jobs, policy=policy, telemetry=telemetry)
+        elif jobs != 1:
+            raise ConfigurationError(
+                "pass either an executor or jobs, not both"
+            )
+        elif policy is not None:
+            raise ConfigurationError(
+                "pass either an executor or a policy, not both"
+            )
+        elif telemetry is not None:
+            raise ConfigurationError(
+                "pass telemetry to the executor's constructor, "
+                "not alongside a ready executor"
+            )
+        self.executor = executor
         self.cache = SubstrateCache() if cache is _UNSET_CACHE else cache
         self.spec = spec
         self.obs = obs
@@ -307,6 +320,7 @@ class Session:
         can be overridden explicitly and wins over ``quick``.
         """
         import importlib
+        from operator import attrgetter
 
         name = figure if isinstance(figure, str) else f"fig{figure}"
         if name not in _FIGURES:
@@ -315,7 +329,7 @@ class Session:
                 f"{sorted(_FIGURES)} (or 7-10)"
             )
         module_name, attr, preset = _FIGURES[name]
-        runner = getattr(importlib.import_module(module_name), attr)
+        runner = attrgetter(attr)(importlib.import_module(module_name))
         kwargs = {**preset, **overrides} if quick else overrides
         return runner(obs=self.obs, executor=self.executor, **kwargs)
 
@@ -328,7 +342,7 @@ class Session:
         if self._closed:
             return
         self._closed = True
-        if self._owned:
+        if self._owns_executor:
             self.executor.close()
 
     def __enter__(self) -> "Session":

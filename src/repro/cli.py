@@ -78,26 +78,27 @@ flight record after the fact.
 Parallel execution
 ------------------
 Every command that runs work units (``figures``, ``scenario``,
-``serve``, ``protection``, ``distribution``, ``trace figure``) accepts
-``--jobs N`` and ``--executor {serial,process}``.  ``--jobs N`` with
-``N > 1`` fans work units out over a pool of long-lived worker
-processes (implying ``--executor process``); results are merged
-deterministically in seed order, so parallel output is byte-identical
-to serial output.  ``--jobs`` below 1 is rejected, as is ``--executor
-serial`` combined with ``--jobs`` above 1.  A ``simulate`` run is a
-single discrete-event run, so it takes none of these flags.
+``serve``, ``protection``, ``distribution``, ``trace figure``) runs them
+on a :func:`repro.api.open_session` session and accepts ``--jobs N``.
+``--jobs N`` with ``N > 1`` fans work units out over a pool of
+long-lived worker processes; results are merged deterministically in
+seed order, so parallel output is byte-identical to serial output.
+``--jobs`` below 1 is rejected.  A ``simulate`` run is a single
+discrete-event run, so it takes none of these flags.
 
 Fault tolerance
 ---------------
 ``--timeout S``, ``--retries N``, ``--checkpoint-dir DIR``, and
-``--resume`` set the pool's execution policy (each implies the pool;
-``--executor serial`` with any of them is a usage error): a unit whose
-worker crashed or ran past the timeout is retried with exponential
-backoff on a fresh worker, and completed results persist to a
-content-keyed checkpoint store so an interrupted sweep resumes instead
-of restarting.  Output stays byte-identical to a clean serial run
-regardless of faults.  ``--inject-fault KIND:INDEX`` (testing/CI) arms
-a deliberate crash, hang, or transient error against one work unit.
+``--resume`` set the pool's execution policy (each implies the pool,
+even at ``--jobs 1``): a unit whose worker crashed or ran past the
+timeout is retried with exponential backoff on a fresh worker, and
+completed results persist to a content-keyed checkpoint store so an
+interrupted sweep resumes instead of restarting.  Output stays
+byte-identical to a clean serial run regardless of faults.
+``--inject-fault KIND:INDEX`` (testing/CI) arms a deliberate crash,
+hang, or transient error against one work unit.  Every one of these
+flags is checked before any output file opens, so a rejected command
+(exit 2) leaves nothing behind.
 """
 
 from __future__ import annotations
@@ -116,12 +117,7 @@ from repro.multicast.backup_trees import DEFAULT_BUDGET
 def _add_executor_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--jobs", type=int, default=1, metavar="N",
-        help="worker processes (N > 1 implies --executor process)",
-    )
-    parser.add_argument(
-        "--executor", choices=["serial", "process"],
-        help="how work units run (default: serial; process when --jobs > 1 "
-             "or any fault-tolerance flag is given)",
+        help="worker processes (default 1: in-process; N > 1 runs a pool)",
     )
     parser.add_argument(
         "--timeout", type=float, metavar="S",
@@ -489,6 +485,11 @@ def _make_telemetry(args: argparse.Namespace):
     openmetrics_out = getattr(args, "openmetrics_out", None)
     if not progress and telemetry_out is None and openmetrics_out is None:
         return None
+    # Check both destinations before either sink opens its file.
+    if telemetry_out is not None:
+        _check_out_dir("--telemetry-out", telemetry_out)
+    if openmetrics_out is not None:
+        _check_out_dir("--openmetrics-out", openmetrics_out)
     from repro.obs import (
         FlightRecorder,
         OpenMetricsSink,
@@ -500,75 +501,92 @@ def _make_telemetry(args: argparse.Namespace):
     if progress:
         sinks.append(ProgressSink())
     if telemetry_out is not None:
-        _check_out_dir("--telemetry-out", telemetry_out)
         sinks.append(FlightRecorder(telemetry_out))
     if openmetrics_out is not None:
-        _check_out_dir("--openmetrics-out", openmetrics_out)
         sinks.append(OpenMetricsSink(openmetrics_out))
     return TelemetryHub(sinks=sinks)
 
 
-def _make_executor(args: argparse.Namespace, telemetry=None):
-    """Build the executor requested by ``--jobs`` / ``--executor`` and the
-    fault-tolerance flags.
+def _exec_policy(args: argparse.Namespace):
+    """The ``(ExecPolicy or None, faults)`` the executor flags ask for.
 
     Any of ``--timeout`` / ``--retries`` / ``--checkpoint-dir`` /
-    ``--resume`` / ``--inject-fault`` implies the process pool; combining
-    them with an explicit ``--executor serial`` is a usage error.  Exits
-    with status 2 (usage error) on invalid combinations: ``--jobs`` below
-    1, an explicit ``--executor serial`` with ``--jobs`` above 1 or with
-    a fault-tolerance flag, ``--resume`` without ``--checkpoint-dir``, or
-    a malformed ``--inject-fault``.
+    ``--resume`` / ``--inject-fault`` implies the pool, so yields a
+    policy; ``faults`` lists the ``(index, kind)`` pairs to arm.  Every
+    flag is checked here, before any sink opens its file, and a bad one
+    exits with status 2: ``--jobs`` below 1, a bad policy value,
+    ``--resume`` without ``--checkpoint-dir``, or a malformed
+    ``--inject-fault``.
     """
     from repro.errors import ConfigurationError
-    from repro.experiments.exec.executor import resolve_executor
+    from repro.experiments.exec.executor import check_fault
+    from repro.experiments.exec.resilience import ExecPolicy
 
-    jobs = getattr(args, "jobs", 1)
-    kind = getattr(args, "executor", None)
-    policy_flags = (
-        getattr(args, "timeout", None) is not None
-        or getattr(args, "retries", None) is not None
-        or getattr(args, "checkpoint_dir", None) is not None
-        or getattr(args, "resume", False)
-        or bool(getattr(args, "inject_fault", []))
-    )
-    if kind == "serial" and policy_flags:
-        print(
-            "repro: error: --timeout/--retries/--checkpoint-dir/--resume/"
-            "--inject-fault require the process pool, not --executor serial",
-            file=sys.stderr,
-        )
-        raise SystemExit(2)
     try:
-        policy = None
-        if policy_flags:
-            from repro.experiments.exec.resilience import ExecPolicy
-
-            policy_kwargs = {}
-            if getattr(args, "timeout", None) is not None:
-                policy_kwargs["timeout"] = args.timeout
-            if getattr(args, "retries", None) is not None:
-                policy_kwargs["retries"] = args.retries
-            if getattr(args, "checkpoint_dir", None) is not None:
-                policy_kwargs["checkpoint_dir"] = args.checkpoint_dir
-            policy_kwargs["resume"] = bool(getattr(args, "resume", False))
-            policy = ExecPolicy(**policy_kwargs)
-        # The shared combination-rule authority — the facade rejects the
-        # same bad combinations with the same message text.
-        executor, _ = resolve_executor(
-            kind=kind, jobs=jobs, policy=policy, telemetry=telemetry
-        )
-        for spec in getattr(args, "inject_fault", []):
+        if args.jobs < 1:
+            raise ConfigurationError(f"--jobs must be >= 1, got {args.jobs}")
+        faults = []
+        for spec in args.inject_fault:
             fault, sep, index = spec.partition(":")
             if not sep or not index.lstrip("-").isdigit():
                 raise ConfigurationError(
                     f"--inject-fault expects KIND:INDEX, got {spec!r}"
                 )
-            executor.inject_fault(int(index), fault)
-        return executor
+            check_fault(int(index), fault)
+            faults.append((int(index), fault))
+        options = {
+            name: value
+            for name, value in (
+                ("timeout", args.timeout),
+                ("retries", args.retries),
+                ("checkpoint_dir", args.checkpoint_dir),
+            )
+            if value is not None
+        }
+        if not (options or args.resume or faults):
+            return None, faults
+        return ExecPolicy(resume=args.resume, **options), faults
     except ConfigurationError as exc:
         print(f"repro: error: {exc}", file=sys.stderr)
         raise SystemExit(2)
+
+
+def _run_command(args: argparse.Namespace, work) -> int:
+    """Run one work-unit command on the session its flags describe.
+
+    The scaffold every such command shares: the run's Observability, the
+    checked executor flags, the telemetry hub, and ``--profile``'s
+    scope around a session opened with ``--jobs``, the policy and the
+    hub (armed with any ``--inject-fault``).  ``work(session)`` runs the
+    verb, prints its result and returns the ``--obs-out`` meta; the
+    executor kind and ``--jobs`` are added to it.  A ConfigurationError
+    from the run exits with status 2.  The hub is closed however the run
+    ends; then the run report and the ``--trace-out`` trace are written.
+    """
+    from repro.api import open_session
+    from repro.errors import ConfigurationError
+
+    obs = _make_obs(args)
+    policy, faults = _exec_policy(args)
+    telemetry = _make_telemetry(args)
+    scope = _ProfileScope(args, obs)
+    try:
+        with scope, open_session(
+            jobs=args.jobs, policy=policy, telemetry=telemetry, obs=obs
+        ) as session:
+            for index, fault in faults:
+                session.executor.inject_fault(index, fault)
+            meta = work(session)
+            meta.update(executor=session.executor.kind, jobs=args.jobs)
+    except ConfigurationError as exc:
+        print(f"repro: error: {exc}", file=sys.stderr)
+        return 2
+    finally:
+        if telemetry is not None:
+            telemetry.close()
+    _write_obs_report(args, obs, scope.annotate(meta))
+    _write_trace_out(args, obs)
+    return 0
 
 
 def _write_obs_report(args: argparse.Namespace, obs, meta: dict) -> None:
@@ -660,31 +678,17 @@ class _ProfileScope:
 # Commands
 # ----------------------------------------------------------------------
 def _cmd_figures(args: argparse.Namespace) -> int:
-    from repro.api import open_session
-
-    obs = _make_obs(args)
-    telemetry = _make_telemetry(args)
-    executor = _make_executor(args, telemetry=telemetry)
     figures_run = [args.figure] if args.figure else [7, 8, 9, 10]
-    scope = _ProfileScope(args, obs)
-    try:
-        with scope, executor, open_session(executor=executor, obs=obs) as session:
-            for figure in figures_run:
-                print(f"--- Figure {figure} ---")
-                print(session.build_figure(figure, quick=args.quick).render())
-                print()
-    finally:
-        if telemetry is not None:
-            telemetry.close()
-    _write_obs_report(args, obs, scope.annotate({
-        "command": "figures",
-        "figures": figures_run,
-        "quick": bool(args.quick),
-        "executor": executor.kind,
-        "jobs": args.jobs,
-    }))
-    _write_trace_out(args, obs)
-    return 0
+
+    def work(session) -> dict:
+        for figure in figures_run:
+            print(f"--- Figure {figure} ---")
+            print(session.build_figure(figure, quick=args.quick).render())
+            print()
+        return {"command": "figures", "figures": figures_run,
+                "quick": bool(args.quick)}
+
+    return _run_command(args, work)
 
 
 def _cmd_scenario(args: argparse.Namespace) -> int:
@@ -702,43 +706,34 @@ def _cmd_scenario(args: argparse.Namespace) -> int:
         knowledge=args.knowledge,
         reshape_enabled=not args.no_reshape,
     )
-    obs = _make_obs(args)
-    telemetry = _make_telemetry(args)
-    try:
-        with _make_executor(args, telemetry=telemetry) as executor:
-            result, = executor.map_units([config], obs=obs)
-    finally:
-        if telemetry is not None:
-            telemetry.close()
-    print(f"scenario: {config.describe()}")
-    print(f"source {result.source}, avg degree "
-          f"{result.average_degree:.2f}, reshapes {result.smrp_reshapes}, "
-          f"fallback joins {result.smrp_fallback_joins}")
-    rows = []
-    for m in result.measurements:
-        rows.append([
-            str(m.member),
-            f"{m.rd_spf_global:.1f}" if m.rd_spf_global is not None else "—",
-            f"{m.rd_smrp_local:.1f}" if m.rd_smrp_local is not None else "—",
-            f"{m.delay_spf:.1f}",
-            f"{m.delay_smrp:.1f}",
-        ])
-    print(format_table(
-        ["member", "RD SPF", "RD SMRP", "delay SPF", "delay SMRP"], rows
-    ))
-    if result.rd_relative:
-        print(f"\nRD_relative   {summarize(result.rd_relative)}")
-        print(f"D_relative    {summarize(result.delay_relative)}")
-    print(f"Cost_relative {result.cost_relative:+.4f}")
-    if result.unrecoverable_members:
-        print(f"unrecoverable members: {result.unrecoverable_members}")
-    _write_obs_report(args, obs, {
-        "command": "scenario",
-        "config": config.describe(),
-        "jobs": args.jobs,
-    })
-    _write_trace_out(args, obs)
-    return 0
+
+    def work(session) -> dict:
+        result, = session.executor.map_units([config], obs=session.obs)
+        print(f"scenario: {config.describe()}")
+        print(f"source {result.source}, avg degree "
+              f"{result.average_degree:.2f}, reshapes {result.smrp_reshapes}, "
+              f"fallback joins {result.smrp_fallback_joins}")
+        rows = []
+        for m in result.measurements:
+            rows.append([
+                str(m.member),
+                f"{m.rd_spf_global:.1f}" if m.rd_spf_global is not None else "—",
+                f"{m.rd_smrp_local:.1f}" if m.rd_smrp_local is not None else "—",
+                f"{m.delay_spf:.1f}",
+                f"{m.delay_smrp:.1f}",
+            ])
+        print(format_table(
+            ["member", "RD SPF", "RD SMRP", "delay SPF", "delay SMRP"], rows
+        ))
+        if result.rd_relative:
+            print(f"\nRD_relative   {summarize(result.rd_relative)}")
+            print(f"D_relative    {summarize(result.delay_relative)}")
+        print(f"Cost_relative {result.cost_relative:+.4f}")
+        if result.unrecoverable_members:
+            print(f"unrecoverable members: {result.unrecoverable_members}")
+        return {"command": "scenario", "config": config.describe()}
+
+    return _run_command(args, work)
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
@@ -842,7 +837,6 @@ def _controller_spec(args: argparse.Namespace):
 
 
 def _cmd_controller(args: argparse.Namespace) -> int:
-    from repro.api import open_session
     from repro.errors import ConfigurationError
 
     try:
@@ -850,69 +844,33 @@ def _cmd_controller(args: argparse.Namespace) -> int:
     except ConfigurationError as exc:
         print(f"repro: error: {exc}", file=sys.stderr)
         return 2
-    obs = _make_obs(args)
-    telemetry = _make_telemetry(args)
-    executor = _make_executor(args, telemetry=telemetry)
-    scope = _ProfileScope(args, obs)
-    try:
-        with scope, executor, open_session(executor=executor, obs=obs) as session:
-            report = session.run_service(spec)
-    except ConfigurationError as exc:
-        print(f"repro: error: {exc}", file=sys.stderr)
-        return 2
-    finally:
-        if telemetry is not None:
-            telemetry.close()
-    print(report.render_table())
-    _write_obs_report(args, obs, scope.annotate({
-        "command": "controller",
-        "spec": spec.describe(),
-        "key": spec.content_key(),
-        "executor": executor.kind,
-        "jobs": args.jobs,
-    }))
-    _write_trace_out(args, obs)
-    return 0
+
+    def work(session) -> dict:
+        print(session.run_service(spec).render_table())
+        return {"command": "controller", "spec": spec.describe(),
+                "key": spec.content_key()}
+
+    return _run_command(args, work)
 
 
 def _cmd_protection(args: argparse.Namespace) -> int:
-    from repro.api import open_session
-
-    obs = _make_obs(args)
-    telemetry = _make_telemetry(args)
-    executor = _make_executor(args, telemetry=telemetry)
     overrides = {"budget": args.budget}
     if args.rates:
         overrides["rates"] = tuple(args.rates)
-    scope = _ProfileScope(args, obs)
-    try:
-        with scope, executor, open_session(executor=executor, obs=obs) as session:
-            result = session.build_figure(
-                "protection", quick=args.quick, **overrides
-            )
-    finally:
-        if telemetry is not None:
-            telemetry.close()
-    print("--- Protection family: reactive vs precomputed recovery ---")
-    print(result.render())
-    _write_obs_report(args, obs, scope.annotate({
-        "command": "protection",
-        "quick": bool(args.quick),
-        "budget": args.budget,
-        "executor": executor.kind,
-        "jobs": args.jobs,
-    }))
-    _write_trace_out(args, obs)
-    return 0
+
+    def work(session) -> dict:
+        result = session.build_figure(
+            "protection", quick=args.quick, **overrides
+        )
+        print("--- Protection family: reactive vs precomputed recovery ---")
+        print(result.render())
+        return {"command": "protection", "quick": bool(args.quick),
+                "budget": args.budget}
+
+    return _run_command(args, work)
 
 
 def _cmd_distribution(args: argparse.Namespace) -> int:
-    from repro.api import open_session
-    from repro.errors import ConfigurationError
-
-    obs = _make_obs(args)
-    telemetry = _make_telemetry(args)
-    executor = _make_executor(args, telemetry=telemetry)
     overrides = {
         "workload": args.workload,
         "failure": args.failure,
@@ -922,28 +880,17 @@ def _cmd_distribution(args: argparse.Namespace) -> int:
         overrides["engines"] = tuple(args.engines)
     if args.groups is not None:
         overrides["groups"] = args.groups
-    scope = _ProfileScope(args, obs)
-    try:
-        with scope, executor, open_session(executor=executor, obs=obs) as session:
-            result = session.build_figure(
-                "distribution", quick=args.quick, **overrides
-            )
-    except ConfigurationError as exc:
-        print(f"repro: error: {exc}", file=sys.stderr)
-        return 2
-    finally:
-        if telemetry is not None:
-            telemetry.close()
-    print(result.render())
-    _write_obs_report(args, obs, scope.annotate({
-        "command": "distribution",
-        "engines": [dist.engine for dist in result.engines],
-        "groups": result.groups,
-        "quick": bool(args.quick),
-        "executor": executor.kind,
-        "jobs": args.jobs,
-    }))
-    return 0
+
+    def work(session) -> dict:
+        result = session.build_figure(
+            "distribution", quick=args.quick, **overrides
+        )
+        print(result.render())
+        return {"command": "distribution",
+                "engines": [dist.engine for dist in result.engines],
+                "groups": result.groups, "quick": bool(args.quick)}
+
+    return _run_command(args, work)
 
 
 def _load_report_or_fail(path: str):
@@ -1180,21 +1127,13 @@ def _cmd_trace_diff(args: argparse.Namespace) -> int:
 
 
 def _cmd_trace_figure(args: argparse.Namespace) -> int:
-    from repro.api import open_session
+    def work(session) -> dict:
+        result = session.build_figure("phases", quick=args.quick)
+        print("--- Restoration latency breakdown by phase ---")
+        print(result.render())
+        return {"command": "trace figure", "quick": bool(args.quick)}
 
-    obs = _make_obs(args)
-    telemetry = _make_telemetry(args)
-    executor = _make_executor(args, telemetry=telemetry)
-    try:
-        with executor, open_session(executor=executor, obs=obs) as session:
-            result = session.build_figure("phases", quick=args.quick)
-    finally:
-        if telemetry is not None:
-            telemetry.close()
-    print("--- Restoration latency breakdown by phase ---")
-    print(result.render())
-    _write_trace_out(args, obs)
-    return 0
+    return _run_command(args, work)
 
 
 def _cmd_info(args: argparse.Namespace) -> int:
@@ -1223,10 +1162,10 @@ def _cmd_info(args: argparse.Namespace) -> int:
     for name, description in components:
         print(f"  {name:24} {description}")
     print("\nparallel execution: figures/scenario/serve/protection/"
-          "distribution accept --jobs N and\n"
-          "  --executor {serial,process}; --jobs N > 1 fans scenarios over "
-          "a pool of long-lived worker\n"
-          "  processes with deterministic seed-order merging.\n"
+          "distribution/trace figure accept --jobs N;\n"
+          "  --jobs N > 1 fans work units over a pool of long-lived worker "
+          "processes with\n"
+          "  deterministic seed-order merging.\n"
           "fault tolerance: --timeout S, --retries N, "
           "--checkpoint-dir DIR, --resume (each implies the pool);\n"
           "  crashed/hung scenarios are retried with backoff and completed "

@@ -23,8 +23,6 @@ or resumed from a checkpoint (the determinism suite asserts this;
 
 from __future__ import annotations
 
-import hashlib
-import json
 from dataclasses import dataclass, field
 
 from repro.controller.controller import GroupRestoration, MulticastController
@@ -34,6 +32,7 @@ from repro.core.protocol import SMRPConfig
 from repro.errors import CheckpointError
 from repro.experiments.tables import format_table
 from repro.obs import NULL_OBS
+from repro.obs.jsonl import digest
 
 #: Bumped when :class:`ShardResult`'s serialised layout changes, so a
 #: checkpoint written by one version is never misread by another.
@@ -56,17 +55,12 @@ class ServiceShard:
             )
 
     def content_key(self) -> str:
-        canonical = json.dumps(
-            {
-                "kind": "service_shard",
-                "spec": self.spec.to_dict(),
-                "start": self.start,
-                "stop": self.stop,
-            },
-            sort_keys=True,
-            separators=(",", ":"),
-        )
-        return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]
+        return digest({
+            "kind": "service_shard",
+            "spec": self.spec.to_dict(),
+            "start": self.start,
+            "stop": self.stop,
+        })
 
     def describe(self) -> str:
         return (
@@ -278,38 +272,24 @@ def plan_shards(spec: ServiceSpec) -> list[ServiceShard]:
     ]
 
 
-def run_service(
-    spec: ServiceSpec,
-    *,
-    executor=None,
-    jobs: int = 1,
-    policy=None,
-    telemetry=None,
-    obs=None,
-) -> ServiceReport:
+def run_service(spec: ServiceSpec, *, executor=None, obs=None) -> ServiceReport:
     """Execute a service spec and merge its shards into one report.
 
-    Executor selection follows the shared
-    :func:`~repro.experiments.exec.executor.resolve_executor` rules.
-    After the merge, one ``group.restore`` telemetry record per restored
-    group is published on the executor's hub (if any) — parent-side and
-    in group order, so the record stream is identical across executor
-    kinds (pool workers send only heartbeats).
+    The shards run on ``executor`` (a transient serial one by default;
+    :meth:`repro.api.Session.run_service` passes the session's).  After
+    the merge, one ``group.restore`` telemetry record per restored group
+    is published on the executor's hub (if any) — parent-side and in
+    group order, so the record stream is identical across executor kinds
+    (pool workers send only heartbeats).
     """
-    from repro.experiments.exec.executor import resolve_executor
+    from repro.experiments.exec.executor import SerialExecutor
 
     obs = obs if obs is not None else NULL_OBS
-    executor, owned = resolve_executor(
-        executor=executor, jobs=jobs, policy=policy, telemetry=telemetry
-    )
+    executor = executor if executor is not None else SerialExecutor()
     shards = plan_shards(spec)
-    try:
-        with obs.span("service.run"):
-            results = executor.map_units(shards, obs=obs)
-        hub = executor.telemetry
-    finally:
-        if owned:
-            executor.close()
+    with obs.span("service.run"):
+        results = executor.map_units(shards, obs=obs)
+    hub = executor.telemetry
     rows: list[GroupRestoration] = []
     members = 0
     events = 0

@@ -19,7 +19,6 @@ the identical failure independently.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import asdict, dataclass
 
@@ -28,6 +27,7 @@ from repro.errors import ConfigurationError
 from repro.graph.topology import Topology
 from repro.graph.waxman import WaxmanConfig
 from repro.multicast.backup_trees import DEFAULT_BUDGET
+from repro.obs.jsonl import digest
 from repro.routing.failure_view import NO_FAILURES, FailureSet
 from repro.routing.spf import dijkstra
 
@@ -230,14 +230,9 @@ class ServiceSpec:
             raise ConfigurationError("ServiceSpec JSON must be an object")
         return cls.from_dict(payload)
 
-    def key(self) -> str:
-        """Stable content digest — the run's identity for caching."""
-        canonical = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]
-
     def content_key(self) -> str:
-        """Alias of :meth:`key`, matching the checkpoint layer's name."""
-        return self.key()
+        """Stable content digest — the run's identity for caching."""
+        return digest(self.to_dict())
 
     def describe(self) -> str:
         return (

@@ -9,8 +9,12 @@
   95% confidence intervals,
 - :mod:`repro.experiments.exec` — declarative :class:`ExperimentSpec`,
   serial/process-parallel executors, and the substrate cache,
-- :mod:`repro.experiments.fig7` … :mod:`repro.experiments.fig10` — one
-  driver per figure in the paper,
+- :mod:`repro.experiments.fig7` — Figure 7's scatter, and
+  :mod:`repro.experiments.figsweep` — Figures 8–10, one sweep driver
+  declared three times,
+- :mod:`repro.experiments.figprotect`, :mod:`repro.experiments.figdist`,
+  :mod:`repro.experiments.figphases` — the protection, latency
+  distribution and phase-breakdown figures,
 - :mod:`repro.experiments.tables` — plain-text rendering of the series,
 - :mod:`repro.experiments.report` — CSV/JSON/Markdown export of results.
 

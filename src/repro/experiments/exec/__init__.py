@@ -17,14 +17,15 @@ The pieces and how they fit:
   for an attached :class:`~repro.obs.live.TelemetryHub` (observe-only
   live progress, flight recording, and hang attribution).
 
-``make_executor(kind, jobs, policy, telemetry)`` is the CLI-facing
-factory.  The public API is also re-exported at :mod:`repro.api`.
+``make_executor(jobs, policy, telemetry)`` is the one factory: ``jobs >
+1`` or a policy selects the pool, else the serial executor.  A session
+of :mod:`repro.api` builds, owns and closes it; the public API is also
+re-exported there.
 """
 
 from repro.experiments.exec.cache import SubstrateCache, process_cache
 from repro.experiments.exec.checkpoint import CheckpointStore
 from repro.experiments.exec.executor import (
-    EXECUTOR_KINDS,
     Executor,
     ParallelExecutor,
     SerialExecutor,
@@ -35,7 +36,6 @@ from repro.experiments.exec.spec import SWEEPABLE_PARAMETERS, ExperimentSpec
 
 __all__ = [
     "CheckpointStore",
-    "EXECUTOR_KINDS",
     "ExecPolicy",
     "Executor",
     "ExperimentSpec",

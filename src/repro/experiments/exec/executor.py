@@ -25,10 +25,9 @@ misses totals agree) and span *timings* naturally differ.
 ``Executor.run_sweep`` adds the shared spec-driven sweep loop on top, so
 a backend only has to implement :meth:`Executor.map_units`.
 
-:func:`resolve_executor` is the one place the convenience parameters of
-the facade and the CLI (``executor=`` / ``jobs=`` / ``policy=`` /
-``telemetry=``) are reconciled, so both surfaces reject bad combinations
-with the same message text.
+:func:`make_executor` picks the backend from ``jobs`` and the policy
+alone; the session of :mod:`repro.api` is its one caller, for the
+facade and the CLI alike.
 """
 
 from __future__ import annotations
@@ -47,9 +46,6 @@ from repro.experiments.exec.checkpoint import CheckpointStore
 from repro.experiments.exec.resilience import STARTUP_GRACE, ExecPolicy
 from repro.experiments.exec.spec import ExperimentSpec
 from repro.experiments.exec.worker import FAULT_KINDS, execute_unit, worker_main
-
-#: Executor kinds accepted by :func:`make_executor` and the CLI.
-EXECUTOR_KINDS = ("serial", "process")
 
 #: Seconds :meth:`ParallelExecutor.close` waits for a worker to exit on
 #: its own before killing it.
@@ -293,12 +289,7 @@ class ParallelExecutor(Executor):
         succeeds); ``persistent`` faults hit every attempt, which is how
         the suite proves retry exhaustion fails loudly.
         """
-        if fault not in FAULT_KINDS:
-            raise ConfigurationError(
-                f"unknown fault {fault!r}; expected one of {FAULT_KINDS}"
-            )
-        if index < 0:
-            raise ConfigurationError(f"fault index must be >= 0, got {index}")
+        check_fault(index, fault)
         self._fault_plan[index] = (fault, persistent)
 
     def _take_fault(self, task: _Task) -> str | None:
@@ -675,83 +666,30 @@ class ParallelExecutor(Executor):
         )
 
 
-def make_executor(
-    kind: str = "serial", jobs: int = 1, policy=None, telemetry=None
-) -> Executor:
-    """Build an executor from CLI-style parameters.
+def check_fault(index: int, fault: str) -> None:
+    """Raise unless :meth:`ParallelExecutor.inject_fault` can arm ``fault``
+    against ``index``; the CLI checks its flags with it before any run."""
+    if fault not in FAULT_KINDS:
+        raise ConfigurationError(
+            f"unknown fault {fault!r}; expected one of {FAULT_KINDS}"
+        )
+    if index < 0:
+        raise ConfigurationError(f"fault index must be >= 0, got {index}")
 
-    ``jobs`` must be >= 1.  ``kind='serial'`` runs in-process and so
-    rejects ``jobs > 1`` and any ``policy`` (an
-    :class:`~repro.experiments.exec.resilience.ExecPolicy`): silently
-    dropping timeout/retry/resume settings would be worse than refusing
-    them.  ``kind='process'`` honours both.  ``telemetry`` (a
-    :class:`~repro.obs.live.TelemetryHub`) attaches live sweep
-    telemetry and works with every kind.
+
+def make_executor(jobs: int = 1, policy=None, telemetry=None) -> Executor:
+    """The executor ``jobs`` and ``policy`` imply.
+
+    ``jobs > 1`` or any ``policy`` (an
+    :class:`~repro.experiments.exec.resilience.ExecPolicy`: timeouts,
+    retries, checkpointing) selects the :class:`ParallelExecutor` pool;
+    otherwise the in-process :class:`SerialExecutor` runs the units.
+    ``jobs`` must be >= 1.  ``telemetry`` (a
+    :class:`~repro.obs.live.TelemetryHub`) attaches live sweep telemetry
+    to either.
     """
     if jobs < 1:
         raise ConfigurationError(f"--jobs must be >= 1, got {jobs}")
-    if kind == "serial":
-        if jobs > 1:
-            raise ConfigurationError(
-                f"the serial executor runs one scenario at a time; "
-                f"--jobs {jobs} requires --executor process"
-            )
-        if policy is not None:
-            raise ConfigurationError(
-                "execution policy (timeouts/retries/checkpointing) "
-                "requires --executor process, not 'serial'"
-            )
-        return SerialExecutor(telemetry=telemetry)
-    if kind == "process":
+    if jobs > 1 or policy is not None:
         return ParallelExecutor(jobs=jobs, policy=policy, telemetry=telemetry)
-    raise ConfigurationError(
-        f"unknown executor {kind!r}; expected one of {EXECUTOR_KINDS}"
-    )
-
-
-def resolve_executor(
-    *,
-    executor: Executor | None = None,
-    kind: str | None = None,
-    jobs: int = 1,
-    policy=None,
-    telemetry=None,
-) -> tuple[Executor, bool]:
-    """Reconcile the convenience parameters into ``(executor, owned)``.
-
-    The single combination-rule authority shared by :mod:`repro.api` and
-    the CLI, so both reject the same bad combinations with the same
-    message text (the CLI maps :class:`ConfigurationError` to exit 2).
-
-    A ready ``executor`` wins and must come alone — ``jobs``, ``kind``,
-    ``policy``, and ``telemetry`` all conflict with it (``owned`` is
-    False: the caller keeps its lifecycle).  Otherwise the kind is
-    inferred: ``jobs > 1`` or a ``policy`` implies the process pool,
-    else serial; an explicit ``kind`` is validated against
-    ``jobs``/``policy`` by :func:`make_executor` (``owned`` is True: the
-    caller must :meth:`~Executor.close` it).
-    """
-    if executor is not None:
-        if kind is not None:
-            raise ConfigurationError(
-                "pass either an executor or an executor kind, not both"
-            )
-        if jobs != 1:
-            raise ConfigurationError(
-                "pass either an executor or jobs, not both"
-            )
-        if policy is not None:
-            raise ConfigurationError(
-                "pass either an executor or a policy, not both"
-            )
-        if telemetry is not None:
-            raise ConfigurationError(
-                "pass telemetry to the executor's constructor, "
-                "not alongside a ready executor"
-            )
-        return executor, False
-    if jobs < 1:
-        raise ConfigurationError(f"--jobs must be >= 1, got {jobs}")
-    if kind is None:
-        kind = "process" if (jobs > 1 or policy is not None) else "serial"
-    return make_executor(kind, jobs=jobs, policy=policy, telemetry=telemetry), True
+    return SerialExecutor(telemetry=telemetry)

@@ -10,8 +10,8 @@ and it is:
 - **frozen and hashable** — usable as a cache/dedup key;
 - **JSON-serializable** — :meth:`to_json` / :meth:`from_json` round-trip,
   so a spec can cross process boundaries or be archived next to results;
-- **content-keyed** — :meth:`key` is a stable digest of the canonical
-  JSON form, the identity used for result caching and run manifests;
+- **content-keyed** — :meth:`content_key` is a stable digest of the
+  canonical JSON form, the identity used for run manifests;
 - **eagerly validated** — every constraint is checked at construction,
   including that every swept value yields a valid scenario.
 
@@ -22,12 +22,12 @@ drivers are thin spec factories.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import asdict, dataclass
 
 from repro.errors import ConfigurationError
 from repro.experiments.scenario import ScenarioConfig, validate_scenario_params
+from repro.obs.jsonl import digest
 
 #: Fields of :class:`ScenarioConfig` a spec may sweep, with the type the
 #: swept value is coerced to when instantiating scenarios.
@@ -190,17 +190,9 @@ class ExperimentSpec:
             raise ConfigurationError("ExperimentSpec JSON must be an object")
         return cls.from_dict(payload)
 
-    def key(self) -> str:
-        """Stable content digest — the spec's identity for caching."""
-        canonical = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]
-
     def content_key(self) -> str:
-        """Alias of :meth:`key` matching
-        :meth:`ScenarioConfig.content_key
-        <repro.experiments.scenario.ScenarioConfig.content_key>` — the
-        name the checkpoint layer uses for content identities."""
-        return self.key()
+        """Stable content digest — the spec's identity (run manifests)."""
+        return digest(self.to_dict())
 
     def describe(self) -> str:
         return (

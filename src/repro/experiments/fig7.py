@@ -99,9 +99,8 @@ def run_figure7(
 ) -> Figure7Result:
     """Reproduce Figure 7's scatter data.
 
-    ``executor`` decides how the per-topology scenarios run (a passed-in
-    executor stays open — callers own its lifecycle); by default a
-    transient serial one is used.
+    The per-topology scenarios run on ``executor``, which stays open
+    (a transient serial one by default).
     """
     from repro.experiments.exec.executor import SerialExecutor
 
@@ -116,14 +115,8 @@ def run_figure7(
         )
         for t in range(topologies)
     ]
-    owned = executor is None
-    if executor is None:
-        executor = SerialExecutor()
-    try:
-        scenarios = executor.map_units(configs, obs=obs)
-    finally:
-        if owned:
-            executor.close()
+    executor = executor if executor is not None else SerialExecutor()
+    scenarios = executor.map_units(configs, obs=obs)
     result = Figure7Result()
     for config, scenario in zip(configs, scenarios):
         for m in scenario.measurements:

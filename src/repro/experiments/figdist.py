@@ -200,10 +200,10 @@ def run_distribution_figure(
 ) -> DistributionResult:
     """Run every engine's shards as one batch; aggregate per engine.
 
-    ``executor`` decides how the shards run (a passed-in executor stays
-    open — callers own its lifecycle); by default a transient serial one
-    is used.  The per-engine histograms are rebuilt from the merged rows
-    parent-side, so scheduling cannot influence any rendered value.
+    The shards run on ``executor``, which stays open (a transient serial
+    one by default).  The per-engine histograms are rebuilt from the
+    merged rows parent-side, so scheduling cannot influence any rendered
+    value.
     """
     from repro.experiments.exec.executor import SerialExecutor
 
@@ -229,14 +229,8 @@ def run_distribution_figure(
     ]
     batches: list[list[ServiceShard]] = [plan_shards(spec) for spec in specs]
     flat = [shard for shards in batches for shard in shards]
-    owned = executor is None
-    if executor is None:
-        executor = SerialExecutor()
-    try:
-        results = executor.map_units(flat, obs=obs)
-    finally:
-        if owned:
-            executor.close()
+    executor = executor if executor is not None else SerialExecutor()
+    results = executor.map_units(flat, obs=obs)
 
     out = DistributionResult(groups=groups)
     cursor = 0

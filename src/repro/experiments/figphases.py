@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-from repro.experiments.fig8 import figure8_spec
+from repro.experiments.exec.spec import ExperimentSpec
 from repro.experiments.sweeps import run_spec_sweep
 from repro.experiments.tables import format_table
 from repro.obs import Observability, RestorationTracer, TraceAnalyzer
@@ -97,11 +97,12 @@ def run_phase_figure(
         obs = Observability(enabled=False)
     if obs.tracer is None:
         obs.tracer = RestorationTracer()
-    spec = figure8_spec(
-        values=[d_thresh],
+    spec = ExperimentSpec(
         n=n,
         group_size=group_size,
         alpha=alpha,
+        sweep_parameter="d_thresh",
+        sweep_values=(d_thresh,),
         topologies=topologies,
         member_sets=member_sets,
         seed_offset=seed_offset,

@@ -32,9 +32,7 @@ independent and their order is immaterial.
 
 from __future__ import annotations
 
-import hashlib
-import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -52,6 +50,7 @@ from repro.multicast.backup_trees import (
 from repro.multicast.group import random_member_set
 from repro.multicast.spf_protocol import SPFMulticastProtocol
 from repro.obs import NULL_OBS
+from repro.obs.jsonl import digest
 from repro.routing.failure_view import FailureSet
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -132,17 +131,7 @@ class ProtectionPoint:
         )
 
     def content_key(self) -> str:
-        canonical = json.dumps(
-            {"kind": "protection_point", **self._fields()},
-            sort_keys=True,
-            separators=(",", ":"),
-        )
-        return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]
-
-    def _fields(self) -> dict:
-        from dataclasses import asdict
-
-        return asdict(self)
+        return digest({"kind": "protection_point", **asdict(self)})
 
     def describe(self) -> str:
         return (
@@ -416,9 +405,8 @@ def run_protection_figure(
 ) -> ProtectionFigureResult:
     """Run the protection grid: every rate x topology x member set.
 
-    ``executor`` decides how the points run (a passed-in executor stays
-    open — callers own its lifecycle); by default a transient serial
-    one is used.  Results merge in work-unit order, so the rendered
+    The points run on ``executor``, which stays open (a transient serial
+    one by default).  Results merge in work-unit order, so the rendered
     table is identical however the points were scheduled.
     """
     from repro.experiments.exec.executor import SerialExecutor
@@ -439,12 +427,6 @@ def run_protection_figure(
         for t in range(topologies)
         for m in range(member_sets)
     ]
-    owned = executor is None
-    if executor is None:
-        executor = SerialExecutor()
-    try:
-        results = executor.map_units(points, obs=obs)
-    finally:
-        if owned:
-            executor.close()
+    executor = executor if executor is not None else SerialExecutor()
+    results = executor.map_units(points, obs=obs)
     return ProtectionFigureResult(budget=budget, results=list(results))

@@ -5,9 +5,9 @@ them — CSV for plotting elsewhere, JSON for archival, and a Markdown
 section per figure in the EXPERIMENTS.md style — so a downstream user
 can regenerate the full evaluation record::
 
-    from repro.experiments.fig8 import run_figure8
+    from repro.experiments.figsweep import FIGURE_8
     from repro.experiments.report import sweep_to_csv
-    csv_text = sweep_to_csv("D_thresh", run_figure8().points)
+    csv_text = sweep_to_csv("D_thresh", FIGURE_8.run().points)
 """
 
 from __future__ import annotations

@@ -13,8 +13,6 @@ assembled — never lazily deep inside a worker process.
 
 from __future__ import annotations
 
-import hashlib
-import json
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
@@ -23,6 +21,7 @@ from repro.errors import ConfigurationError
 from repro.graph.topology import NodeId, Topology
 from repro.graph.waxman import WaxmanConfig, waxman_topology
 from repro.multicast.group import random_member_set
+from repro.obs.jsonl import digest
 
 
 def validate_scenario_params(
@@ -113,15 +112,12 @@ class ScenarioConfig:
     def content_key(self) -> str:
         """Stable content digest — the scenario's checkpoint identity.
 
-        The same construction as :meth:`ExperimentSpec.key
-        <repro.experiments.exec.spec.ExperimentSpec.key>`: a SHA-256
-        prefix of the canonical JSON form.  Every field that influences
-        the result is a dataclass field, so equal configs — however they
-        were assembled — share a key, and any parameter change produces a
-        fresh one.
+        :func:`~repro.obs.jsonl.digest` of the fields.  Every field that
+        influences the result is a dataclass field, so equal configs —
+        however they were assembled — share a key, and any parameter
+        change produces a fresh one.
         """
-        canonical = json.dumps(asdict(self), sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]
+        return digest(asdict(self))
 
     def describe(self) -> str:
         return (

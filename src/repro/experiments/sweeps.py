@@ -2,25 +2,25 @@
 
 The paper's Figures 8–10 each evaluate one parameter at several values,
 with 10 random topologies × 10 random member sets (100 scenarios) per
-value, reporting means with 95% confidence intervals.  :func:`run_sweep`
-reproduces that procedure for arbitrary scenario families, and
-:func:`run_spec_sweep` does the same for a declarative
-:class:`~repro.experiments.exec.spec.ExperimentSpec`.
+value, reporting means with 95% confidence intervals.  A declarative
+:class:`~repro.experiments.exec.spec.ExperimentSpec` describes such a
+sweep, :func:`scenario_grid` is its seeding grid, and
+:func:`run_spec_sweep` runs it into :class:`SweepPoint` aggregates.
 
-Both accept an :class:`~repro.experiments.exec.executor.Executor`; pass a
-:class:`~repro.experiments.exec.executor.ParallelExecutor` to fan the
-scenario grid out over worker processes (results are identical to serial
-execution — the determinism suite asserts it).
+The sweep runs on the :class:`~repro.experiments.exec.executor.Executor`
+it is given; a :class:`~repro.experiments.exec.executor.ParallelExecutor`
+fans the scenario grid out over worker processes (results are identical
+to serial execution — the determinism suite asserts it).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING
 
 from repro.errors import ConfigurationError
 from repro.metrics.stats import Summary, summarize
-from repro.obs import NULL_OBS, Observability
+from repro.obs import Observability
 from repro.experiments.runner import ScenarioResult
 from repro.experiments.scenario import ScenarioConfig
 
@@ -95,45 +95,6 @@ def scenario_grid(
     return configs
 
 
-def run_sweep(
-    label_fn: Callable[[float], ScenarioConfig],
-    values: list[float],
-    topologies: int = 10,
-    member_sets: int = 10,
-    seed_offset: int = 0,
-    obs: Observability | None = None,
-    executor: "Executor | None" = None,
-) -> list[SweepPoint]:
-    """Evaluate ``label_fn(value)`` over the seeding grid for each value.
-
-    A provided ``obs`` is shared by every scenario, so counters and span
-    timings aggregate over the whole sweep.  A provided ``executor``
-    decides how scenarios run (and stays open — callers own its
-    lifecycle); by default a transient
-    :class:`~repro.experiments.exec.executor.SerialExecutor` is used.
-    """
-    from repro.experiments.exec.executor import SerialExecutor
-
-    obs = obs if obs is not None else NULL_OBS
-    owned = executor is None
-    if executor is None:
-        executor = SerialExecutor()
-    try:
-        points: list[SweepPoint] = []
-        for value in values:
-            base = label_fn(value)
-            configs = scenario_grid(base, topologies, member_sets, seed_offset)
-            with obs.span(f"sweep.point.{value:g}"):
-                results = executor.map_units(configs, obs=obs)
-            points.append(
-                SweepPoint(label=f"{value:g}", parameter=value, scenarios=results)
-            )
-        return points
-    finally:
-        if owned:
-            executor.close()
-
-
 def run_spec_sweep(
     spec: "ExperimentSpec",
     executor: "Executor | None" = None,
@@ -142,16 +103,10 @@ def run_spec_sweep(
     """Execute a declarative :class:`ExperimentSpec` into sweep points.
 
     The executor sees the whole sweep as one batch of work units (so a
-    parallel executor keeps workers busy across sweep-point boundaries).
-    A passed-in executor stays open; a default serial one is transient.
+    parallel executor keeps workers busy across sweep-point boundaries)
+    and stays open; a transient serial one runs by default.
     """
     from repro.experiments.exec.executor import SerialExecutor
 
-    owned = executor is None
-    if executor is None:
-        executor = SerialExecutor()
-    try:
-        return executor.run_sweep(spec, obs=obs)
-    finally:
-        if owned:
-            executor.close()
+    executor = executor if executor is not None else SerialExecutor()
+    return executor.run_sweep(spec, obs=obs)

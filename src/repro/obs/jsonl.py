@@ -4,7 +4,9 @@ The flight recorder, restoration traces and the checkpoint store all
 keep their records here, one JSON object per line:
 
 - every record is encoded the same way (:func:`encode`: sorted keys,
-  compact separators), so equal records are equal bytes;
+  compact separators), so equal records are equal bytes, and
+  :func:`digest` of that encoding is the content key of every work
+  unit, spec and checkpoint entry;
 - :func:`append` writes one record and flushes it, so an interrupted
   write can leave only the *last* line incomplete.
 
@@ -22,6 +24,7 @@ than a JSON object, is corruption, not an interrupted write:
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 from pathlib import Path
@@ -33,6 +36,11 @@ from repro.errors import ConfigurationError
 def encode(record: dict) -> str:
     """The one line encoding of a record (without its newline)."""
     return json.dumps(record, sort_keys=True, separators=(",", ":"))
+
+
+def digest(record: dict) -> str:
+    """A record's content key: a SHA-256 prefix of its :func:`encode`."""
+    return hashlib.sha256(encode(record).encode("utf-8")).hexdigest()[:16]
 
 
 def append(fh: IO[str], record: dict) -> None:

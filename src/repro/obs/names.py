@@ -148,7 +148,7 @@ TRACE_PHASES: frozenset[str] = frozenset({
 })
 
 #: Prefixes for names built at runtime (f-strings over message kinds,
-#: sweep values, fault-injection counters).  A dynamic emission matches
+#: engines, fault-injection counters).  A dynamic emission matches
 #: when its literal prefix is listed here.
 DYNAMIC_PREFIXES: tuple[str, ...] = (
     "dist.",          # dist.{latency,mean_latency}.<engine> hdr histograms
@@ -156,7 +156,6 @@ DYNAMIC_PREFIXES: tuple[str, ...] = (
     "sim.msg.bytes.",  # per message kind
     "sim.msg.sent.",   # per message kind
     "smrp.msg.",       # per protocol message kind
-    "sweep.point.",    # per swept parameter value
 )
 
 ALL_STATIC_NAMES: frozenset[str] = METRIC_NAMES | SPAN_NAMES | TRACE_PHASES

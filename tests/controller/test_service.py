@@ -3,6 +3,7 @@ executions of one ServiceSpec must render byte-identical reports."""
 
 import pytest
 
+from repro.api import open_session
 from repro.controller.service import (
     ServiceReport,
     ServiceShard,
@@ -11,7 +12,7 @@ from repro.controller.service import (
     run_service,
 )
 from repro.controller.spec import ServiceSpec
-from repro.errors import CheckpointError, ConfigurationError
+from repro.errors import CheckpointError
 from repro.experiments.exec import ExecPolicy
 from repro.obs import Observability
 from repro.obs.live import TelemetryHub
@@ -118,28 +119,33 @@ class TestServiceRun:
         assert "worst restoration latency" in text
 
     def test_sharded_run_is_byte_identical(self, serial_report):
-        sharded = run_service(SPEC, jobs=2)
+        with open_session(jobs=2) as session:
+            sharded = session.run_service(SPEC)
         assert sharded.render_table() == serial_report.render_table()
 
     def test_resilient_run_is_byte_identical(self, serial_report):
-        report = run_service(SPEC, jobs=2, policy=ExecPolicy(backoff_base=0.0))
+        policy = ExecPolicy(backoff_base=0.0)
+        with open_session(jobs=2, policy=policy) as session:
+            report = session.run_service(SPEC)
         assert report.render_table() == serial_report.render_table()
 
     def test_checkpoint_resume_is_byte_identical(self, serial_report, tmp_path):
         store = str(tmp_path / "ckpt")
         cold_obs, warm_obs = Observability(), Observability()
-        cold = run_service(
-            SPEC, jobs=2,
+        with open_session(
+            jobs=2,
             policy=ExecPolicy(backoff_base=0.0, checkpoint_dir=store),
             obs=cold_obs,
-        )
-        warm = run_service(
-            SPEC, jobs=2,
+        ) as session:
+            cold = session.run_service(SPEC)
+        with open_session(
+            jobs=2,
             policy=ExecPolicy(
                 backoff_base=0.0, checkpoint_dir=store, resume=True
             ),
             obs=warm_obs,
-        )
+        ) as session:
+            warm = session.run_service(SPEC)
         assert cold.render_table() == serial_report.render_table()
         assert warm.render_table() == serial_report.render_table()
         counters = warm_obs.metrics.snapshot()["counters"]
@@ -161,7 +167,8 @@ class TestServiceRun:
     def test_telemetry_stream_matches_rows(self, serial_report):
         sink = ListSink()
         hub = TelemetryHub(sinks=[sink])
-        report = run_service(SPEC, telemetry=hub)
+        with open_session(telemetry=hub) as session:
+            report = session.run_service(SPEC)
         restores = [
             r for r in sink.records if r.get("kind") == "group.restore"
         ]
@@ -172,13 +179,6 @@ class TestServiceRun:
         counters = hub.metrics.snapshot()["counters"]
         assert counters["telemetry.groups.restored"] == report.affected
         assert counters["telemetry.groups.members_restored"] == report.restored
-
-    def test_executor_conflicts_rejected(self):
-        from repro.experiments.exec import SerialExecutor
-
-        with SerialExecutor() as ex:
-            with pytest.raises(ConfigurationError, match="not both"):
-                run_service(SPEC, executor=ex, jobs=2)
 
 
 class TestAcceptanceScale:
@@ -192,7 +192,8 @@ class TestAcceptanceScale:
         )
         sink = ListSink()
         hub = TelemetryHub(sinks=[sink])
-        report = run_service(spec, telemetry=hub)
+        with open_session(telemetry=hub) as session:
+            report = session.run_service(spec)
         assert report.groups == 1000
         assert report.affected >= 50
         assert report.restored > 0

@@ -71,7 +71,6 @@ class TestIdentity:
         assert a.content_key() == ServiceSpec().content_key()
         assert len(a.content_key()) == 16
         assert a.content_key() != ServiceSpec(groups=201).content_key()
-        assert a.content_key() == a.key()
 
     def test_describe_mentions_shape(self):
         text = ServiceSpec(groups=7, protocol="spf").describe()

@@ -22,7 +22,7 @@ from repro.experiments.exec import (
 )
 from repro.experiments.runner import run_scenario
 from repro.experiments.scenario import ScenarioConfig
-from repro.experiments.sweeps import SweepPoint, run_spec_sweep, run_sweep
+from repro.experiments.sweeps import SweepPoint
 from repro.obs import Observability
 
 #: Small but non-trivial spec shared by the determinism tests.
@@ -69,12 +69,12 @@ class TestExperimentSpec:
     def test_json_round_trip_preserves_identity(self):
         again = ExperimentSpec.from_json(SPEC.to_json())
         assert again == SPEC
-        assert again.key() == SPEC.key()
+        assert again.content_key() == SPEC.content_key()
 
     def test_key_is_content_addressed(self):
-        assert SPEC.key() != ExperimentSpec(
+        assert SPEC.content_key() != ExperimentSpec(
             **{**SPEC.to_dict(), "seed_offset": 1}
-        ).key()
+        ).content_key()
 
     def test_from_dict_rejects_unknown_fields(self):
         with pytest.raises(ConfigurationError, match="unknown ExperimentSpec"):
@@ -201,18 +201,16 @@ class TestSubstrateCache:
 
 class TestMakeExecutor:
     def test_kinds(self):
-        assert isinstance(make_executor("serial", jobs=1), SerialExecutor)
-        parallel = make_executor("process", jobs=2)
+        serial = make_executor(jobs=1)
+        assert isinstance(serial, SerialExecutor) and serial.kind == "serial"
+        parallel = make_executor(jobs=2)
         assert isinstance(parallel, ParallelExecutor) and parallel.jobs == 2
+        assert parallel.kind == "process"
         parallel.close()
 
     def test_rejects_bad_jobs(self):
         with pytest.raises(ConfigurationError, match="jobs must be >= 1"):
-            make_executor("serial", jobs=0)
-        with pytest.raises(ConfigurationError, match="requires --executor"):
-            make_executor("serial", jobs=2)
-        with pytest.raises(ConfigurationError, match="unknown executor"):
-            make_executor("threads", jobs=1)
+            make_executor(jobs=0)
 
     def test_parallel_rejects_bad_jobs(self):
         with pytest.raises(ConfigurationError):
@@ -232,30 +230,16 @@ class TestDeterminism:
         ]
 
     def test_serial_vs_parallel_rendered_figure_identical(self):
-        from repro.experiments.fig8 import run_figure8
+        from repro.experiments.figsweep import FIGURE_8
 
         kwargs = dict(
             values=[0.1, 0.3], n=30, group_size=8, topologies=2, member_sets=2
         )
         with SerialExecutor() as ex:
-            serial = run_figure8(executor=ex, **kwargs).render()
+            serial = FIGURE_8.run(executor=ex, **kwargs).render()
         with ParallelExecutor(jobs=2) as ex:
-            parallel = run_figure8(executor=ex, **kwargs).render()
+            parallel = FIGURE_8.run(executor=ex, **kwargs).render()
         assert serial == parallel
-
-    def test_cached_sweep_matches_legacy_run_sweep(self):
-        # The executor path (with substrate caching) reproduces exactly
-        # what the per-value run_sweep API computes.
-        legacy = run_sweep(
-            lambda d: ScenarioConfig(n=30, group_size=8, alpha=0.4, d_thresh=d),
-            [0.1, 0.3],
-            topologies=2,
-            member_sets=2,
-        )
-        spec_points = run_spec_sweep(SPEC)
-        assert [point_digest(p) for p in legacy] == [
-            point_digest(p) for p in spec_points
-        ]
 
     def test_parallel_merges_worker_obs_counters(self):
         obs_serial, obs_parallel = Observability(), Observability()

@@ -13,18 +13,16 @@ from repro.experiments.report import (
     sweep_to_json,
     sweep_to_markdown,
 )
-from repro.experiments.scenario import ScenarioConfig
-from repro.experiments.sweeps import run_sweep
+from repro.experiments.exec.spec import ExperimentSpec
+from repro.experiments.sweeps import run_spec_sweep
 
 
 @pytest.fixture(scope="module")
 def points():
-    return run_sweep(
-        lambda d: ScenarioConfig(n=30, group_size=6, alpha=0.6, d_thresh=d),
-        values=[0.1, 0.4],
-        topologies=2,
-        member_sets=1,
-    )
+    return run_spec_sweep(ExperimentSpec(
+        n=30, group_size=6, alpha=0.6, sweep_parameter="d_thresh",
+        sweep_values=(0.1, 0.4), topologies=2, member_sets=1,
+    ))
 
 
 @pytest.fixture(scope="module")

@@ -87,13 +87,14 @@ class TestExecPolicy:
 
 class TestMakeExecutor:
     def test_policy_requires_the_pool(self):
-        with pytest.raises(ConfigurationError, match="--executor process"):
-            make_executor("serial", policy=ExecPolicy())
+        # A policy implies the pool, even with one worker.
         policy = ExecPolicy(retries=5)
-        with make_executor("process", jobs=2, policy=policy) as ex:
+        with make_executor(policy=policy) as ex:
             assert isinstance(ex, ParallelExecutor)
-            assert ex.kind == "process" and ex.jobs == 2
+            assert ex.kind == "process" and ex.jobs == 1
             assert ex.policy is policy
+        with make_executor(jobs=2, policy=policy) as ex:
+            assert ex.jobs == 2 and ex.policy is policy
 
     def test_rejects_bad_jobs(self):
         with pytest.raises(ConfigurationError):

@@ -10,7 +10,6 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.experiments.exec import (
-    EXECUTOR_KINDS,
     ExecPolicy,
     ExperimentSpec,
     ParallelExecutor,
@@ -182,8 +181,8 @@ class TestPolicyAndFactory:
 
     def test_make_executor_threads_telemetry_through(self):
         hub = TelemetryHub()
-        for kind in EXECUTOR_KINDS:
-            ex = make_executor(kind, jobs=1, telemetry=hub)
+        for jobs in (1, 2):
+            ex = make_executor(jobs, telemetry=hub)
             assert ex.telemetry is hub
             ex.close()
 

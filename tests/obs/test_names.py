@@ -126,6 +126,6 @@ class TestRegistryShape:
     def test_is_registered(self):
         assert names.is_registered("exec.scenarios")
         assert names.is_registered("sim.msg.sent.Join_Req")
-        assert names.is_registered("sweep.point.0.3")
+        assert names.is_registered("dist.latency.smrp")
         assert not names.is_registered("sim.msg.sent.")
         assert not names.is_registered("no.such.name")

@@ -220,7 +220,7 @@ class TestDeprecationShims:
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
             from repro.experiments.scenario import ScenarioConfig  # noqa: F401
-            from repro.experiments.sweeps import run_sweep  # noqa: F401
+            from repro.experiments.sweeps import run_spec_sweep  # noqa: F401
 
     def test_repro_api_lazy_attribute(self):
         import repro

@@ -81,30 +81,10 @@ class TestExecutorFlags:
         assert excinfo.value.code == 2
         assert "--jobs must be >= 1" in capsys.readouterr().err
 
-    def test_serial_executor_with_many_jobs_rejected(self, capsys):
-        with pytest.raises(SystemExit) as excinfo:
-            main(["scenario", "--executor", "serial", "--jobs", "4"])
-        assert excinfo.value.code == 2
-        assert "requires --executor process" in capsys.readouterr().err
-
-    @pytest.mark.parametrize(
-        "flag", [["--timeout", "5"], ["--retries", "1"],
-                 ["--checkpoint-dir", "ckpt"], ["--inject-fault", "crash:0"]],
-    )
-    def test_policy_flags_reject_the_serial_executor(self, flag, capsys):
-        with pytest.raises(SystemExit) as excinfo:
-            main(["scenario", "--executor", "serial", *flag])
-        assert excinfo.value.code == 2
-        assert "not --executor serial" in capsys.readouterr().err
-
-    def test_unknown_executor_rejected(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["figures", "--executor", "threads"])
-
     def test_scenario_through_process_executor(self, capsys):
         code = main([
             "scenario", "--n", "30", "--group-size", "6", "--alpha", "0.6",
-            "--executor", "process", "--jobs", "2",
+            "--jobs", "2",
         ])
         assert code == 0
         assert "Cost_relative" in capsys.readouterr().out
@@ -129,6 +109,32 @@ class TestExecutorFlags:
         out = capsys.readouterr().out
         assert "--jobs" in out
         assert "repro.api" in out
+
+
+class TestRejectedFlagsOpenNoFile:
+    """A command rejected for an executor flag exits 2 before any sink
+    opens its file: no flight record appears, and an existing one (whose
+    torn tail opening would cut) keeps every byte."""
+
+    @pytest.mark.parametrize(
+        "flags",
+        [["--jobs", "0"], ["--timeout", "-5"], ["--resume"],
+         ["--inject-fault", "bogus"]],
+        ids=["jobs", "timeout", "resume", "inject-fault"],
+    )
+    def test_no_flight_record_is_opened(self, flags, capsys, tmp_path):
+        fresh = tmp_path / "fresh.ndjson"
+        existing = tmp_path / "existing.ndjson"
+        before = b'{"kind":"sweep.start"}\n{"kind":"scen'
+        existing.write_bytes(before)
+        for path in (fresh, existing):
+            with pytest.raises(SystemExit) as excinfo:
+                main(["figures", "--quick", "--figure", "7",
+                      "--telemetry-out", str(path), *flags])
+            assert excinfo.value.code == 2
+            assert "repro: error: " in capsys.readouterr().err
+        assert not fresh.exists()
+        assert existing.read_bytes() == before
 
 
 class TestObs:
